@@ -106,9 +106,9 @@ func BenchmarkOptimizeToy(b *testing.B) {
 	}
 }
 
-// BenchmarkOptimizeColdMenu is the retained full-enumeration baseline a
-// cold dispatch pays without the library: every phase menu re-enumerates
-// all 215 configurations through the scalar predictor.
+// BenchmarkOptimizeColdMenu is the cold dispatch without the library:
+// every phase menu scores all 215 configurations of the once-enumerated
+// space in one batched predict pass.
 func BenchmarkOptimizeColdMenu(b *testing.B) {
 	tr := trainBench(b)
 	p := apps.DefaultParams(benchApp{})

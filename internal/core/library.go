@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"opprox/internal/approx"
@@ -12,28 +13,28 @@ import (
 	"opprox/internal/obs"
 )
 
-// This file implements the two-tier Pareto-front plan library
-// (DESIGN.md §14). Tier 1 runs once per model version: for every
-// (control-flow class, phase) the full configuration space is evaluated
-// through one batched predict pass per sampled training parameter vector,
-// and every configuration that some earlier-enumerated configuration
-// weakly dominates at ALL sampled vectors is pruned. Tier 2 runs per
-// dispatch: the phase's exact upgrade ladder is rebuilt over the
-// survivors only — again batched — so Optimize's menus cost
-// O(survivors) predictions instead of O(config space).
+// This file holds Optimize's one menu builder, buildPhaseFront, and the
+// two-tier Pareto-front plan library (DESIGN.md §14) that narrows the
+// configurations it is given. Tier 1 runs once per model version: for
+// every (control-flow class, phase) the full configuration space is
+// evaluated through one batched predict pass per sampled training
+// parameter vector, and every configuration that some earlier-enumerated
+// configuration weakly dominates at ALL sampled vectors is pruned. Tier 2
+// runs per dispatch: the ladder is built over the survivors only, so
+// Optimize's menus cost O(survivors) predictions instead of O(space).
 //
-// Pruning is exact at the sampled parameter vectors: buildPhaseMenu's
-// ladder keeps a configuration only when it beats every cheaper one, so
-// a configuration with an earlier-enumerated weak dominator (spd >= its
-// spd AND deg <= its deg) can never be on the ladder — the stable
-// degradation sort places the dominator first and the strictly-
-// increasing-speedup filter then rejects the dominated entry. Dropping
-// never-kept entries leaves ladder construction untouched, and weak
-// dominance restricted to earlier indices is transitive, so checking
-// candidates against current survivors suffices. Plans built from the
-// front are therefore bitwise-identical to menu-path plans at the
-// sampled vectors; at other inputs they remain valid ladders over a
-// model-identical prediction surface, just over fewer rungs.
+// Pruning is exact at the sampled parameter vectors: the ladder keeps a
+// configuration only when it beats every cheaper one, so a configuration
+// with an earlier-enumerated weak dominator (spd >= its spd AND deg <=
+// its deg) can never be on the ladder — the stable degradation sort
+// places the dominator first and the strictly-increasing-speedup filter
+// then rejects the dominated entry. Dropping never-kept entries leaves
+// ladder construction untouched, and weak dominance restricted to
+// earlier indices is transitive, so checking candidates against current
+// survivors suffices. Plans built from the front are therefore
+// bitwise-identical to full-space plans at the sampled vectors; at other
+// inputs they remain valid ladders over a model-identical prediction
+// surface, just over fewer rungs.
 
 // maxLibraryPVs caps how many training parameter vectors dominance
 // pruning samples per phase. Tier-1 cost is O(configs² · pvs) per phase,
@@ -207,10 +208,9 @@ func (t *Trained) rebuildFrontPhases(phases []int) error {
 func enumerateSpace(blocks []approx.Block) []approx.Config {
 	space := make([]approx.Config, 0, approx.NumConfigs(blocks)-1)
 	approx.EnumerateConfigs(blocks, func(cfg approx.Config) bool {
-		if cfg.IsAccurate() {
-			return true
+		if !cfg.IsAccurate() {
+			space = append(space, cfg) // EnumerateConfigs hands over a copy
 		}
-		space = append(space, cfg.Clone())
 		return true
 	})
 	return space
@@ -338,39 +338,53 @@ func pruneDominated(space []approx.Config, spd, deg []float64, npv int) *phaseFr
 	return pf
 }
 
-// frontMenus builds every phase's menu from the library, or returns nil
-// menus (no error) when the library is off or does not cover the class —
-// the caller then falls back to full enumeration.
-func (t *Trained) frontMenus(cm *ClassModels, paramVec []float64) ([]phaseMenu, error) {
-	if !t.frontOn || t.library == nil {
-		return nil, nil
+// phaseMenus builds every phase's upgrade ladder with buildPhaseFront:
+// over the phase's survivors when the library is on and covers the
+// class, otherwise over the whole non-accurate space, enumerated once
+// and shared by every phase.
+func (t *Trained) phaseMenus(cm *ClassModels, paramVec []float64) ([]phaseMenu, error) {
+	var cf *classFronts
+	if t.frontOn && t.library != nil {
+		if c := t.library.classes[cm.CtxSig]; c != nil && len(c.phase) == len(cm.Phase) {
+			cf = c
+		}
 	}
-	cf := t.library.classes[cm.CtxSig]
-	if cf == nil || len(cf.phase) != len(cm.Phase) {
-		return nil, nil
+	var space []approx.Config
+	if cf == nil {
+		space = enumerateSpace(t.Blocks)
+	} else {
+		stop := obs.Timer("core.library.front_duration")
+		defer stop()
 	}
-	stop := obs.Timer("core.library.front_duration")
-	defer stop()
 	menus := make([]phaseMenu, len(cm.Phase))
 	for ph, pm := range cm.Phase {
-		m, err := t.buildPhaseFront(pm, cf.phase[ph], paramVec)
+		cfgs := space
+		if cf != nil {
+			cfgs = cf.phase[ph].cfgs
+		}
+		m, err := t.buildPhaseFront(pm, cfgs, paramVec)
 		if err != nil {
 			return nil, err
 		}
 		menus[ph] = m
 	}
-	obs.Inc("core.library.front_builds")
+	if cf != nil {
+		obs.Inc("core.library.front_builds")
+	}
 	return menus, nil
 }
 
-// buildPhaseFront is buildPhaseMenu restricted to a phase's survivors:
-// one batched prediction pass over the pruned set, then the identical
-// stable degradation sort and strictly-increasing-speedup filter. The
-// survivors are stored in ascending enumeration order, so the stable
-// sort resolves degradation ties exactly as the full enumeration would.
-func (t *Trained) buildPhaseFront(pm *PhaseModel, pf *phaseFront, paramVec []float64) (phaseMenu, error) {
+// buildPhaseFront collapses configurations, in ascending enumeration
+// order, into the phase's upgrade ladder with one batched prediction
+// pass. Feasibility is judged on the conservative degradation (paper
+// §3.6) but the ladder ranks on the expected speedup: the band's
+// half-width is a per-phase constant on the log scale, so the lower edge
+// would keep the ranking while rejecting every modest speedup against
+// the accurate default. The stable sort keeps enumeration order among
+// equal degradations, so every plan is deterministic.
+func (t *Trained) buildPhaseFront(pm *PhaseModel, cfgs []approx.Config, paramVec []float64) (phaseMenu, error) {
 	m := phaseMenu{accurate: make(approx.Config, len(t.Blocks))}
-	n := len(pf.cfgs)
+	n := len(cfgs)
 	if n == 0 {
 		return m, nil
 	}
@@ -378,7 +392,7 @@ func (t *Trained) buildPhaseFront(pm *PhaseModel, pf *phaseFront, paramVec []flo
 	defer slab.Release()
 	spd := slab.Floats(n)
 	deg := slab.Floats(n)
-	if err := pm.predictConfigsBatch(t, paramVec, pf.cfgs, spd, deg); err != nil {
+	if err := pm.predictConfigsBatch(t, paramVec, cfgs, spd, deg); err != nil {
 		return m, err
 	}
 	obs.Add("core.optimize.configs_scanned", int64(n))
@@ -388,24 +402,34 @@ func (t *Trained) buildPhaseFront(pm *PhaseModel, pf *phaseFront, paramVec []flo
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(a, b int) bool { return deg[order[a]] < deg[order[b]] })
-	bestSpd := 1.0
+	// The stable sort consults only cmp < 0: exactly deg[a] < deg[b],
+	// NaN included.
+	slices.SortStableFunc(order, func(a, b int) int {
+		switch {
+		case deg[a] < deg[b]:
+			return -1
+		case deg[b] < deg[a]:
+			return 1
+		}
+		return 0
+	})
+	bestSpd := 1.0 // the accurate configuration is always feasible
 	for _, i := range order {
 		if spd[i] > bestSpd {
-			m.ladder = append(m.ladder, phaseChoice{cfg: pf.cfgs[i], spd: spd[i], deg: deg[i]})
+			m.ladder = append(m.ladder, phaseChoice{cfg: cfgs[i], spd: spd[i], deg: deg[i]})
 			bestSpd = spd[i]
 		}
 	}
 	return m, nil
 }
 
-// predictConfigsBatch is the menu predictor over a batch of
-// configurations: it writes, per configuration, the expected speedup
-// (no confidence band — buildPhaseMenu ranks on the expectation) and
-// the conservative degradation (upper confidence edge when
-// Opts.UseConfidence). Every model family evaluation runs through
-// predictRawBatch, whose per-row arithmetic is exactly the scalar
-// path's, so the results are bit-for-bit those of predictConfig.
+// predictConfigsBatch writes, per configuration, the expected speedup
+// and the conservative degradation (upper confidence edge when
+// Opts.UseConfidence). The local models read only [params..., level of
+// block b], so each is tabulated once per level and gathered by cfg[b];
+// the iteration and global models run once per configuration. Every
+// evaluation goes through predictRawBatch, whose per-row arithmetic is
+// the scalar path's, so results are bit-for-bit those of predictConfig.
 func (pm *PhaseModel) predictConfigsBatch(t *Trained, paramVec []float64, cfgs []approx.Config, spd, deg []float64) error {
 	n := len(cfgs)
 	if len(spd) != n || len(deg) != n {
@@ -420,42 +444,48 @@ func (pm *PhaseModel) predictConfigsBatch(t *Trained, paramVec []float64, cfgs [
 	if t.Opts.UseIterFeature {
 		gw++
 	}
-	slab := arena.NewSlab(n*(np+1) + 2*n*gw + n*(np+nb) + n)
+	maxLv := 0
+	for _, blk := range t.Blocks {
+		maxLv = max(maxLv, blk.Levels())
+	}
+	slab := arena.NewSlab(maxLv*(np+1) + 2*maxLv + 2*n*gw + n*(np+nb) + n)
 	defer slab.Release()
-	lxFlat := slab.Floats(n * (np + 1))
-	sfFlat := slab.Floats(n * gw)
-	dfFlat := slab.Floats(n * gw)
+	lxFlat := slab.Floats(maxLv * (np + 1))
+	spdTab, degTab := slab.Floats(maxLv), slab.Floats(maxLv)
+	sfFlat, dfFlat := slab.Floats(n*gw), slab.Floats(n*gw)
 	iterFlat := slab.Floats(n * (np + nb))
 	col := slab.Floats(n)
 
-	rowsp := arena.Rows(n)
+	// A front can hold fewer configurations than a block has levels.
+	rowsp := arena.Rows(max(n, maxLv))
 	defer arena.PutRows(rowsp)
 	rows := *rowsp
 
-	// Local models: one shared [params..., level] matrix, re-stamping the
-	// level column per block.
-	for i := range cfgs {
-		row := lxFlat[i*(np+1) : (i+1)*(np+1)]
+	// One [params..., level] row per level; block b reads the first
+	// Levels() of them.
+	for l := 0; l < maxLv; l++ {
+		row := lxFlat[l*(np+1) : (l+1)*(np+1)]
 		copy(row, paramVec)
-		rows[i] = row
+		row[np] = float64(l)
+		rows[l] = row
 	}
-	for b := 0; b < nb; b++ {
+	for b, blk := range t.Blocks {
+		lv := blk.Levels()
+		if err := pm.localSpeedup[b].predictRawBatch(rows[:lv], spdTab[:lv]); err != nil {
+			return err
+		}
+		if err := pm.localDeg[b].predictRawBatch(rows[:lv], degTab[:lv]); err != nil {
+			return err
+		}
 		for i, cfg := range cfgs {
-			rows[i][np] = float64(cfg[b])
-		}
-		if err := pm.localSpeedup[b].predictRawBatch(rows, col); err != nil {
-			return err
-		}
-		for i := range cfgs {
-			sfFlat[i*gw+b] = col[i]
-		}
-		if err := pm.localDeg[b].predictRawBatch(rows, col); err != nil {
-			return err
-		}
-		for i := range cfgs {
-			dfFlat[i*gw+b] = col[i]
+			if len(cfg) != nb || cfg[b] < 0 || cfg[b] >= lv {
+				return fmt.Errorf("core: configuration %v out of range", cfg)
+			}
+			sfFlat[i*gw+b] = spdTab[cfg[b]]
+			dfFlat[i*gw+b] = degTab[cfg[b]]
 		}
 	}
+	rows = rows[:n]
 	if t.Opts.UseIterFeature {
 		for i, cfg := range cfgs {
 			row := iterFlat[i*(np+nb) : (i+1)*(np+nb)]

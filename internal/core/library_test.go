@@ -77,12 +77,12 @@ func TestFrontMenusMatchFullMenus(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		menus, err := tr.frontMenus(cm, pv)
+		if tr.library.classes[cm.CtxSig] == nil {
+			t.Fatalf("library does not cover class %q", cm.CtxSig)
+		}
+		menus, err := tr.phaseMenus(cm, pv)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if menus == nil {
-			t.Fatalf("library does not cover class %q", cm.CtxSig)
 		}
 		for ph, pm := range cm.Phase {
 			full := tr.buildPhaseMenu(pm, pv)
@@ -96,7 +96,10 @@ func TestFrontMenusMatchFullMenus(t *testing.T) {
 
 // checkBatchMatchesScalar asserts predictConfigsBatch returns exactly
 // (==, not approximately) what the scalar predictConfig path returns for
-// every configuration, class, phase and parameter vector.
+// every configuration, class, phase and parameter vector — over the
+// whole space, and over one-configuration batches, which are smaller
+// than any block's level table (a front can have fewer survivors than a
+// block has levels).
 func checkBatchMatchesScalar(t *testing.T, tr *Trained) {
 	t.Helper()
 	space := enumerateSpace(tr.Blocks)
@@ -116,6 +119,13 @@ func checkBatchMatchesScalar(t *testing.T, tr *Trained) {
 						t.Fatalf("class %q phase %d pv %v cfg %v: batch (%.17g, %.17g) != scalar (%.17g, %.17g)",
 							sig, ph, pv, cfg, spd[j], deg[j], sWant, dWant)
 					}
+					if err := pm.predictConfigsBatch(tr, pv, space[j:j+1], spd[:1], deg[:1]); err != nil {
+						t.Fatal(err)
+					}
+					if spd[0] != sWant || deg[0] != dWant {
+						t.Fatalf("class %q phase %d pv %v cfg %v: single batch (%.17g, %.17g) != scalar (%.17g, %.17g)",
+							sig, ph, pv, cfg, spd[0], deg[0], sWant, dWant)
+					}
 				}
 			}
 		}
@@ -125,6 +135,58 @@ func checkBatchMatchesScalar(t *testing.T, tr *Trained) {
 func TestPredictConfigsBatchMatchesScalar(t *testing.T) {
 	_, tr := trainToy(t)
 	checkBatchMatchesScalar(t, tr)
+}
+
+// TestPredictConfigsBatchSplitExpanded runs the batch-vs-scalar check on
+// a model with split sub-models and the space-expanded basis. Training
+// splits only global models (the local sweeps are too small to split),
+// so every local model is also wrapped in a split — on the level column
+// for speedup, on the first parameter for degradation — whose halves
+// differ, so a row routed to the wrong half shows up as a mismatch.
+func TestPredictConfigsBatchSplitExpanded(t *testing.T) {
+	opts := benchOptions()
+	opts.ExpandFeatures = true
+	opts.TargetR2 = 0.9999
+	opts.MaxPolyDegree = 1
+	opts.JointSamplesPerPhase = 30
+	tr, err := Train(apps.NewRunner(benchApp{}), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	split, expanded := false, false
+	np := len(tr.Specs)
+	for _, sig := range tr.classSigs() {
+		for _, pm := range tr.Classes[sig].Phase {
+			for _, fm := range []*filteredModel{pm.globalSpeedup, pm.globalDeg, pm.iter} {
+				split = split || fm.lo != nil
+				expanded = expanded || anyExpanded(fm)
+			}
+			for b := range pm.localSpeedup {
+				ls, ld := pm.localSpeedup[b], pm.localDeg[b]
+				pm.localSpeedup[b] = &filteredModel{scale: ls.scale, splitFeat: np, splitVal: 2, lo: ls, hi: ld}
+				pm.localDeg[b] = &filteredModel{scale: ld.scale, splitFeat: 0, splitVal: 15, lo: ld, hi: ls}
+			}
+		}
+	}
+	if !split || !expanded {
+		t.Fatalf("trained model lacks a global split (%v) or an expanded model (%v)", split, expanded)
+	}
+	checkBatchMatchesScalar(t, tr)
+}
+
+// TestPredictConfigsBatchRejectsBadLevels pins the table bounds: a level
+// outside its block's range, or a configuration of the wrong width, is
+// an error rather than a read past the per-level table.
+func TestPredictConfigsBatchRejectsBadLevels(t *testing.T) {
+	tr := trainBench(t)
+	pv := apps.DefaultParams(benchApp{}).Vector(tr.Specs)
+	pm := tr.Classes[tr.classSigs()[0]].Phase[0]
+	out := make([]float64, 1)
+	for _, cfg := range []approx.Config{{6, 0, 0}, {0, -1, 0}, {1, 1}, {1, 1, 1, 1}} {
+		if err := pm.predictConfigsBatch(tr, pv, []approx.Config{cfg}, out, out); err == nil {
+			t.Errorf("configuration %v accepted", cfg)
+		}
+	}
 }
 
 // TestFrontLibraryInvariants checks the structural shape of the built
@@ -489,7 +551,7 @@ func initFuzzMenus() {
 		fuzzMenus.err = err
 		return
 	}
-	fuzzMenus.front, fuzzMenus.err = tr.frontMenus(cm, pv)
+	fuzzMenus.front, fuzzMenus.err = tr.phaseMenus(cm, pv)
 	if fuzzMenus.err != nil {
 		return
 	}

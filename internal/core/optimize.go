@@ -48,6 +48,25 @@ func (t *Trained) Optimize(p apps.Params, budget float64) (approx.Schedule, Pred
 		return approx.Schedule{}, Prediction{}, err
 	}
 
+	// Each phase's configuration space is collapsed exactly once into an
+	// upgrade ladder; every budget query afterwards is a binary search, so
+	// planMenus' reallocation passes cost O(log configs) instead of a full
+	// re-enumeration each. The ladders come from one batched predictor,
+	// over the Pareto-front library's survivors when it is enabled and
+	// over the whole space otherwise (library.go).
+	menus, err := t.phaseMenus(cm, pv)
+	if err != nil {
+		return approx.Schedule{}, Prediction{}, err
+	}
+	sched, pred := t.planMenus(cm, menus, budget)
+	stop()
+	obs.Inc("core.optimize.runs")
+	return sched, pred, nil
+}
+
+// planMenus runs Algorithm 2's allocation over per-phase upgrade ladders
+// already built for one class at one parameter vector.
+func (t *Trained) planMenus(cm *ClassModels, menus []phaseMenu, budget float64) (approx.Schedule, Prediction) {
 	// Normalized budget shares (paper: normROI · QoSb).
 	shares := make([]float64, t.Phases)
 	switch t.Opts.BudgetPolicy {
@@ -83,23 +102,6 @@ func (t *Trained) Optimize(p apps.Params, budget float64) (approx.Schedule, Pred
 		}
 		return order[a] < order[b]
 	})
-
-	// Each phase's configuration space is collapsed exactly once into an
-	// upgrade ladder; every budget query afterwards is a binary search, so
-	// the reallocation passes below cost O(log configs) instead of a full
-	// re-enumeration each. With the Pareto-front library enabled the
-	// ladder is built over the pruned survivor set in one batched predict
-	// pass (library.go); otherwise the full space is enumerated.
-	menus, err := t.frontMenus(cm, pv)
-	if err != nil {
-		return approx.Schedule{}, Prediction{}, err
-	}
-	if menus == nil {
-		menus = make([]phaseMenu, t.Phases)
-		for ph := range menus {
-			menus[ph] = t.buildPhaseMenu(cm.Phase[ph], pv)
-		}
-	}
 
 	// refill offers the pooled remainder to each phase (best ROI first)
 	// until no phase can upgrade — the paper's leftover reallocation,
@@ -278,9 +280,7 @@ func (t *Trained) Optimize(p apps.Params, budget float64) (approx.Schedule, Pred
 		savings = -4
 	}
 	pred.Speedup = 1 / (1 - savings)
-	stop()
-	obs.Inc("core.optimize.runs")
-	return sched, pred, nil
+	return sched, pred
 }
 
 // phaseChoice is one rung of a phase's upgrade ladder: the best predicted
@@ -299,50 +299,6 @@ type phaseMenu struct {
 	ladder []phaseChoice
 	// accurate is the all-zero configuration, the ladder's implicit floor.
 	accurate approx.Config
-}
-
-// buildPhaseMenu enumerates the phase's configuration space once under the
-// trained models. Feasibility is judged conservatively — the upper
-// confidence edge of the degradation must fit the budget (paper §3.6) —
-// but the objective ranks on the model's expected speedup: the confidence
-// band's half-width is a per-phase constant on the log scale, so the
-// pessimistic lower edge would preserve the ranking among configurations
-// while spuriously rejecting every modest speedup against the accurate
-// default.
-func (t *Trained) buildPhaseMenu(pm *PhaseModel, paramVec []float64) phaseMenu {
-	type entry struct {
-		cfg approx.Config
-		spd float64
-		deg float64
-	}
-	var all []entry
-	scanned := int64(0)
-	approx.EnumerateConfigs(t.Blocks, func(cfg approx.Config) bool {
-		if cfg.IsAccurate() {
-			return true
-		}
-		scanned++
-		spd, _ := pm.predictConfig(t, paramVec, cfg, false)
-		_, deg := pm.predictConfig(t, paramVec, cfg, t.Opts.UseConfidence)
-		c := make(approx.Config, len(cfg))
-		copy(c, cfg)
-		all = append(all, entry{cfg: c, spd: spd, deg: deg})
-		return true
-	})
-	obs.Add("core.optimize.configs_scanned", scanned)
-	// Sort by degradation; SliceStable keeps enumeration order among equal
-	// degradations, so the ladder (and hence every optimization result) is
-	// deterministic.
-	sort.SliceStable(all, func(a, b int) bool { return all[a].deg < all[b].deg })
-	m := phaseMenu{accurate: make(approx.Config, len(t.Blocks))}
-	bestSpd := 1.0 // the accurate configuration is always feasible
-	for _, e := range all {
-		if e.spd > bestSpd {
-			m.ladder = append(m.ladder, phaseChoice{cfg: e.cfg, spd: e.spd, deg: e.deg})
-			bestSpd = e.spd
-		}
-	}
-	return m
 }
 
 // query returns the best configuration affordable at the given budget; the

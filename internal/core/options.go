@@ -93,9 +93,9 @@ type Options struct {
 	// configuration space is batch-evaluated over a sample of training
 	// parameter vectors and configurations dominated everywhere are pruned;
 	// Optimize then builds each phase's exact front over the survivors
-	// instead of re-enumerating the full space. The survivor sets are
-	// persisted with the model. Off by default; a loaded model can also be
-	// switched on at runtime with EnableFrontLibrary.
+	// instead of the full space. The survivor sets are persisted with the
+	// model. Off by default; a loaded model can also be switched on at
+	// runtime with EnableFrontLibrary.
 	FrontLibrary bool
 
 	// ExpandFeatures widens every model's raw feature vector with derived

@@ -30,6 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"sort"
 	"time"
@@ -390,6 +391,14 @@ func marshalBody(v any) ([]byte, error) {
 	return append(b, '\n'), nil
 }
 
+// saturate maps ±Inf to ±MaxFloat64, which encoding/json can encode,
+// and passes every finite value through bit for bit. Phase predictions
+// are exponentials of calibrated raw values, and recalibrations add up
+// their (finite) shifts, so a raw value past ~709 overflows.
+func saturate(v float64) float64 {
+	return math.Max(-math.MaxFloat64, math.Min(math.MaxFloat64, v))
+}
+
 func writeBody(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -717,8 +726,8 @@ func (s *Server) computePlan(key string, wk planWork) ([]byte, error) {
 			return nil, fmt.Errorf("%w: diagnosing served schedule: %v", ErrOptimize, err)
 		}
 		preds[ph] = PhasePrediction{
-			Speedup:     core.SpeedupFromScale(diags[ph].SpeedupRaw),
-			Degradation: core.DegradationFromScale(diags[ph].DegRaw),
+			Speedup:     saturate(core.SpeedupFromScale(diags[ph].SpeedupRaw)),
+			Degradation: saturate(core.DegradationFromScale(diags[ph].DegRaw)),
 		}
 	}
 	id := dispatchID(dreq, ver, levels)
