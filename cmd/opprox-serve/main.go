@@ -130,7 +130,6 @@ func main() {
 	autoPromote := flag.Bool("auto-promote", true, "promote a shadow automatically once it beats the live version")
 	autoRecal := flag.Bool("auto-recalibrate", true, "dark-launch a recalibrated shadow when a model drifts")
 	planCache := flag.Int("plan-cache", 0, "dispatch-plan cache capacity (0: default, negative: disable)")
-	frontLibrary := flag.Bool("front-library", false, "build the Pareto-front plan library for every loaded model (fast dispatch-time optimization)")
 	shardSelf := flag.String("shard-self", "", "this replica's name in a sharded fleet (requires -shard-replicas)")
 	shardReplicas := flag.String("shard-replicas", "", "comma-separated name=url replica set, including self (e.g. a=http://127.0.0.1:7077,b=http://127.0.0.1:7078)")
 	maxInFlight := flag.Int("max-inflight", 0, "max concurrent dispatch computations (0: default, negative: uncapped)")
@@ -211,7 +210,6 @@ func main() {
 		FeedbackLog:            flog,
 		DisableAutoRecalibrate: !*autoRecal,
 		PlanCacheCap:           *planCache,
-		FrontLibrary:           *frontLibrary,
 		Admission:              adm,
 		MaxInFlight:            *maxInFlight,
 		Ladder:                 qos.LadderOptions{Dwell: *ladderDwell},

@@ -37,7 +37,6 @@ func main() {
 	validate := flag.Int("validate", 0, "measure N fresh probes against the trained models and report calibration")
 	paramFlag := flag.String("params", "", "override input parameters, e.g. \"mesh=64,regions=4\"")
 	metrics := flag.String("metrics", "", "write a JSON metrics snapshot (run counts, cache hits, fit durations) to this file on exit")
-	frontLibrary := flag.Bool("front-library", false, "build the Pareto-front plan library at train time (persisted with -save)")
 	expandFeatures := flag.Bool("expand-features", false, "widen model inputs with derived interaction terms (MIC-pruned)")
 	flag.Parse()
 
@@ -85,7 +84,6 @@ func main() {
 	opts := opprox.DefaultOptions()
 	opts.Seed = *seed
 	opts.Phases = *phases
-	opts.FrontLibrary = *frontLibrary
 	opts.ExpandFeatures = *expandFeatures
 
 	sys := opprox.New(app)

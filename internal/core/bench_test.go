@@ -1,20 +1,27 @@
 package core
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 
 	"opprox/internal/approx"
 	"opprox/internal/apps"
+	"opprox/internal/apps/comd"
+	"opprox/internal/apps/lulesh"
+	"opprox/internal/apps/pso"
+	"opprox/internal/apps/tracker"
+	"opprox/internal/apps/vidpipe"
 	"opprox/internal/qos"
 	"opprox/internal/trace"
 )
 
-// benchApp sizes the optimizer benchmarks: three blocks at five levels
-// each give 215 non-accurate configurations, and approximating gamma
-// costs work instead of saving it (a memoization whose bookkeeping
-// outweighs the reuse), so every configuration with gamma > 0 is
-// dominated by its gamma = 0 counterpart — the shape the Pareto-front
-// library prunes.
+// benchApp is a small space with dominated configurations: three blocks
+// at five levels each give 215 non-accurate configurations, and
+// approximating gamma costs work instead of saving it (a memoization
+// whose bookkeeping outweighs the reuse), so every configuration with
+// gamma > 0 is dominated by its gamma = 0 counterpart — the shape the
+// Pareto-front library prunes.
 type benchApp struct{}
 
 func (benchApp) Name() string { return "bench" }
@@ -106,49 +113,54 @@ func BenchmarkOptimizeToy(b *testing.B) {
 	}
 }
 
-// BenchmarkOptimizeColdMenu is the cold dispatch without the library:
-// every phase menu scores all 215 configurations of the once-enumerated
-// space in one batched predict pass.
-func BenchmarkOptimizeColdMenu(b *testing.B) {
-	tr := trainBench(b)
-	p := apps.DefaultParams(benchApp{})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := tr.Optimize(p, 10); err != nil {
-			b.Fatal(err)
-		}
+// realApps returns fresh instances of the five benchmark applications.
+func realApps() []apps.App {
+	return []apps.App{comd.New(), lulesh.New(), pso.New(), tracker.New(), vidpipe.New()}
+}
+
+// BenchmarkOptimizeCold is the cold dispatch on the five applications
+// at the end-to-end benchmark's reduced training (trained once per
+// process, see loadOracleModel): each iteration plans
+// the next of 64 held-out (params, budget) pairs, drawn like
+// TestOptimizeMatchesScalarOracle's, so no two consecutive calls share
+// an input.
+func BenchmarkOptimizeCold(b *testing.B) {
+	for _, app := range realApps() {
+		b.Run(app.Name(), func(b *testing.B) {
+			tr := loadOracleModel(b, app)
+			rng := rand.New(rand.NewSource(1))
+			params := make([]apps.Params, 64)
+			budgets := make([]float64, 64)
+			for i := range params {
+				params[i] = heldOutParams(rng, app)
+				budgets[i] = math.Round(rng.Float64()*3000) / 100
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := tr.Optimize(params[i%64], budgets[i%64]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
-// BenchmarkOptimizeColdLibrary is the same cold dispatch with the
-// Pareto-front library warm: menus are built over the pruned survivors
-// in one batched predict pass per phase.
-func BenchmarkOptimizeColdLibrary(b *testing.B) {
-	tr := trainBench(b)
-	if err := tr.EnableFrontLibrary(); err != nil {
-		b.Fatal(err)
-	}
-	p := apps.DefaultParams(benchApp{})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := tr.Optimize(p, 10); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFrontBuild prices tier 1: the once-per-model-version batched
-// evaluation and dominance pruning of the whole configuration space.
+// BenchmarkFrontBuild prices tier 1 on the five applications: the
+// once-per-model-version batched evaluation of the whole configuration
+// space at every anchor, and the dominance pruning.
 func BenchmarkFrontBuild(b *testing.B) {
-	tr := trainBench(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := tr.BuildFrontLibrary(); err != nil {
-			b.Fatal(err)
-		}
+	for _, app := range realApps() {
+		b.Run(app.Name(), func(b *testing.B) {
+			tr := loadOracleModel(b, app)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := tr.buildFrontLibrary(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

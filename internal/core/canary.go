@@ -45,7 +45,10 @@ func (t *Trained) CalibrateCanary(runner *apps.Runner, p apps.Params, probesPerP
 		spd: make([]float64, t.Phases),
 		deg: make([]float64, t.Phases),
 	}
-	t.calib = nil // measure against the uncalibrated models
+	// Measure against the uncalibrated models; a failed probe leaves the
+	// previous calibration (which the front library matches) in place.
+	prev := t.calib
+	t.calib = nil
 	for ph := 0; ph < t.Phases; ph++ {
 		var spdRes, degRes []float64
 		for k := 0; k < probesPerPhase; k++ {
@@ -60,10 +63,12 @@ func (t *Trained) CalibrateCanary(runner *apps.Runner, p apps.Params, probesPerP
 			}
 			spdPred, degPred, err := t.PredictPhase(p, ph, cfg, false)
 			if err != nil {
+				t.calib = prev
 				return err
 			}
 			ev, err := runner.Evaluate(p, approx.SinglePhaseSchedule(t.Phases, ph, cfg))
 			if err != nil {
+				t.calib = prev
 				return fmt.Errorf("canary probe phase %d: %w", ph, err)
 			}
 			spdRes = append(spdRes, math.Log(math.Max(ev.Speedup, 1e-9))-math.Log(math.Max(spdPred, 1e-9)))
@@ -72,12 +77,19 @@ func (t *Trained) CalibrateCanary(runner *apps.Runner, p apps.Params, probesPerP
 		shift.spd[ph] = median(spdRes)
 		shift.deg[ph] = median(degRes)
 	}
-	t.calib = shift
-	return nil
+	return t.installCalibration(shift)
 }
 
 // ClearCalibration removes a previously installed canary calibration.
-func (t *Trained) ClearCalibration() { t.calib = nil }
+func (t *Trained) ClearCalibration() error { return t.installCalibration(nil) }
+
+// installCalibration swaps in new shifts (nil = uncalibrated) and
+// re-prunes the front library's phases whose shifts moved, so Optimize
+// never reads fronts pruned under another calibration.
+func (t *Trained) installCalibration(shift *canaryShift) error {
+	t.calib = shift
+	return t.refreshFrontLibrary()
+}
 
 // SetCalibration installs per-phase log-scale correction shifts directly —
 // the same correction CalibrateCanary measures with probe runs, for
@@ -95,11 +107,10 @@ func (t *Trained) SetCalibration(spd, deg []float64) error {
 			return fmt.Errorf("core: calibration shift for phase %d is not finite", ph)
 		}
 	}
-	t.calib = &canaryShift{
+	return t.installCalibration(&canaryShift{
 		spd: append([]float64(nil), spd...),
 		deg: append([]float64(nil), deg...),
-	}
-	return nil
+	})
 }
 
 // CalibrationShifts returns copies of the installed per-phase shifts

@@ -2,9 +2,11 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
+	"runtime"
 	"slices"
-	"sort"
+	"sync"
 
 	"opprox/internal/approx"
 	"opprox/internal/apps"
@@ -17,101 +19,179 @@ import (
 // two-tier Pareto-front plan library (DESIGN.md §14) that narrows the
 // configurations it is given. Tier 1 runs once per model version: for
 // every (control-flow class, phase) the full configuration space is
-// evaluated through one batched predict pass per sampled training
-// parameter vector, and every configuration that some earlier-enumerated
-// configuration weakly dominates at ALL sampled vectors is pruned. Tier 2
-// runs per dispatch: the ladder is built over the survivors only, so
+// evaluated through one batched predict pass per anchor parameter
+// vector, and every configuration that some earlier-enumerated
+// configuration weakly dominates at ALL anchors is pruned. Tier 2 runs
+// per dispatch: the ladder is built over the survivors only, so
 // Optimize's menus cost O(survivors) predictions instead of O(space).
 //
-// Pruning is exact at the sampled parameter vectors: the ladder keeps a
-// configuration only when it beats every cheaper one, so a configuration
-// with an earlier-enumerated weak dominator (spd >= its spd AND deg <=
-// its deg) can never be on the ladder — the stable degradation sort
-// places the dominator first and the strictly-increasing-speedup filter
-// then rejects the dominated entry. Dropping never-kept entries leaves
-// ladder construction untouched, and weak dominance restricted to
-// earlier indices is transitive, so checking candidates against current
+// Pruning is exact at the anchors: the ladder keeps a configuration only
+// when it beats every cheaper one, so a configuration with an
+// earlier-enumerated weak dominator (spd >= its spd AND deg <= its deg)
+// can never be on the ladder — the stable degradation sort places the
+// dominator first and the strictly-increasing-speedup filter then
+// rejects the dominated entry. Dropping never-kept entries leaves ladder
+// construction untouched, and weak dominance restricted to earlier
+// indices is transitive, so checking candidates against current
 // survivors suffices. Plans built from the front are therefore
-// bitwise-identical to full-space plans at the sampled vectors; at other
-// inputs they remain valid ladders over a model-identical prediction
-// surface, just over fewer rungs.
+// bitwise-identical to full-space plans at the anchors; at other inputs
+// they remain valid ladders over a model-identical prediction surface,
+// and the anchors are dense enough over the input box that held-out
+// plans match the full-space oracle too (oracle_test.go measures it).
 
-// maxLibraryPVs caps how many training parameter vectors dominance
-// pruning samples per phase. Tier-1 cost is O(configs² · pvs) per phase,
-// so the cap keeps library builds cheap while still anchoring pruning at
-// a spread of real training inputs.
-const maxLibraryPVs = 16
+// anchorRule names the rule libraryParamVecs anchors pruning with. It is
+// persisted with the survivor sets; a library pruned under any other
+// rule (or none: files written before the rule was recorded) is rebuilt
+// at load instead of trusted.
+const anchorRule = "grid+default+interior64"
 
-// phaseFront is one phase's pruned configuration set: the survivors of
-// dominance pruning in ascending enumeration order, with their indices
-// into the non-accurate enumeration of the configuration space (the
-// persisted representation).
-type phaseFront struct {
-	cfgs []approx.Config
-	idx  []int
-}
+// interiorAnchors is the size of the seeded interior sample that anchors
+// pruning between the representative grid points.
+const interiorAnchors = 64
 
-// classFronts holds the per-phase fronts of one control-flow class.
-type classFronts struct {
-	phase []*phaseFront
-}
+// anchorSeedSalt keeps the interior sample's stream apart from every
+// other consumer of Options.Seed (training, canary probes, held-out
+// draws seeded with the same value).
+const anchorSeedSalt = 0x1ab5eed
 
-// planLibrary is the tier-1 artifact: per-class, per-phase survivor sets.
-// calSpd/calDeg record the per-phase calibration shifts the fronts were
-// pruned under (zeros when uncalibrated), so a later recalibration can
-// re-prune only the phases whose shifts actually moved.
+// planLibrary is the tier-1 artifact: per control-flow class, per phase,
+// the survivors of dominance pruning as a front bitset (the persisted
+// representation too). calSpd/calDeg record the per-phase calibration
+// shifts the fronts were pruned under (zeros when uncalibrated), so a
+// recalibration re-prunes only the phases whose shifts actually moved.
 type planLibrary struct {
-	classes map[string]*classFronts
+	classes map[string][]front
 	calSpd  []float64
 	calDeg  []float64
 }
 
-// EnableFrontLibrary switches Optimize onto the Pareto-front plan
-// library, building it first when the model was trained or loaded
-// without one. Serving calls it from the model-load hook, so the switch
-// always happens before a version is published — never on a model that
-// is already serving dispatches.
-func (t *Trained) EnableFrontLibrary() error {
-	if t.library == nil {
-		return t.BuildFrontLibrary()
+// A front is one phase's survivor set over the non-accurate enumeration
+// of the configuration space, as a bitset: index j survived when bit
+// j%8 of byte j/8 is set. It holds ceil(space/8) bytes — the survivor
+// indices and nothing else, strictly increasing by construction — and
+// JSON persists it as base64.
+type front []byte
+
+// newFront packs ascending survivor indices into a front for a space of
+// n configurations.
+func newFront(idx []int32, n int) front {
+	f := make(front, (n+7)/8)
+	for _, j := range idx {
+		f[j/8] |= 1 << (j % 8)
 	}
-	t.frontOn = true
+	return f
+}
+
+// size is the number of survivors.
+func (f front) size() int {
+	n := 0
+	for _, b := range f {
+		n += bits.OnesCount8(b)
+	}
+	return n
+}
+
+// buildFrontLibrary constructs the tier-1 library from scratch. Train
+// runs it once per model version; LoadTrained runs it only for files
+// that carry no library pruned under the current anchorRule.
+func (t *Trained) buildFrontLibrary() error {
+	lib := &planLibrary{classes: make(map[string][]front, len(t.Classes))}
+	lib.calSpd, lib.calDeg = t.calibVectors()
+	for sig, cm := range t.Classes {
+		lib.classes[sig] = make([]front, len(cm.Phase))
+	}
+	all := make([]int, t.Phases)
+	for ph := range all {
+		all[ph] = ph
+	}
+	if err := t.pruneFronts(lib, all); err != nil {
+		return err
+	}
+	t.library = lib
+	obs.Inc("core.library.builds")
 	return nil
 }
 
-// BuildFrontLibrary constructs the tier-1 library and switches Optimize
-// onto it. The parameter vectors anchoring the dominance pruning come
-// from the training records when present, and are otherwise reproduced
-// from (Specs, Seed, MaxParamCombos) — ParamCombos is the first rng
-// consumer in Train, so a loaded model (which carries no records)
-// samples exactly the combos training saw.
-func (t *Trained) BuildFrontLibrary() error {
-	stop := obs.Timer("core.library.build_duration")
-	defer stop()
+// refreshFrontLibrary brings the library current after a calibration
+// change: only phases whose shifts differ from the ones the fronts were
+// pruned under are re-pruned (calibration enters pruning through
+// predictConfigsBatch, so an unchanged shift leaves a phase's
+// predictions — and therefore its survivor set — bit-for-bit identical
+// to a full rebuild's). A no-op when no library is built yet or nothing
+// shifted. Every calibration setter calls it, so the fronts never lag
+// the models Optimize reads.
+func (t *Trained) refreshFrontLibrary() error {
+	if t.library == nil {
+		return nil
+	}
+	spd, deg := t.calibVectors()
+	var changed []int
+	for ph := range spd {
+		if spd[ph] != t.library.calSpd[ph] || deg[ph] != t.library.calDeg[ph] {
+			changed = append(changed, ph)
+		}
+	}
+	if len(changed) == 0 {
+		return nil
+	}
+	return t.pruneFronts(t.library, changed)
+}
+
+// pruneFronts re-prunes the given phases of every class into lib and
+// records the calibration they were pruned under; other phases keep
+// their fronts. The (class, phase) jobs run on a worker pool bounded by
+// Options.Parallelism (0 = one per CPU) and each fills its own slot, so
+// the library is byte-identical at any pool size. The first failing job
+// in job order decides the error, and a failure leaves lib untouched.
+func (t *Trained) pruneFronts(lib *planLibrary, phases []int) error {
+	defer obs.Timer("core.library.prune_duration")()
+	type job struct {
+		sig   string
+		phase int
+	}
+	var jobs []job
+	for _, sig := range t.classSigs() {
+		for _, ph := range phases {
+			jobs = append(jobs, job{sig, ph})
+		}
+	}
 	space := enumerateSpace(t.Blocks)
 	pvs := t.libraryParamVecs()
-	if len(pvs) == 0 {
-		return fmt.Errorf("core: no parameter vectors to anchor the front library")
+	fronts := make([][]int32, len(jobs))
+	errs := make([]error, len(jobs))
+	workers := t.Opts.Parallelism
+	if workers <= 0 {
+		workers = runtime.NumCPU()
 	}
-	lib := &planLibrary{classes: make(map[string]*classFronts, len(t.Classes))}
-	for _, sig := range t.classSigs() {
-		cm := t.Classes[sig]
-		cf := &classFronts{phase: make([]*phaseFront, len(cm.Phase))}
-		for ph, pm := range cm.Phase {
-			pf, err := t.prunePhase(pm, space, pvs)
-			if err != nil {
-				return fmt.Errorf("core: front library class %q phase %d: %w", sig, ph, err)
+	next := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < min(workers, len(jobs)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range next {
+				fronts[k], errs[k] = t.prunePhase(t.Classes[jobs[k].sig].Phase[jobs[k].phase], space, pvs)
 			}
-			cf.phase[ph] = pf
-			obs.Add("core.library.survivors", int64(len(pf.cfgs)))
-			obs.Add("core.library.pruned", int64(len(space)-len(pf.cfgs)))
-		}
-		lib.classes[sig] = cf
+		}()
 	}
-	lib.calSpd, lib.calDeg = t.calibVectors()
-	t.library = lib
-	t.frontOn = true
-	obs.Inc("core.library.builds")
+	for k := range jobs {
+		next <- k
+	}
+	close(next)
+	wg.Wait()
+	for k, j := range jobs {
+		if errs[k] != nil {
+			return fmt.Errorf("core: front library class %q phase %d: %w", j.sig, j.phase, errs[k])
+		}
+	}
+	for k, j := range jobs {
+		lib.classes[j.sig][j.phase] = newFront(fronts[k], len(space))
+		obs.Add("core.library.survivors", int64(len(fronts[k])))
+	}
+	spd, deg := t.calibVectors()
+	for _, ph := range phases {
+		lib.calSpd[ph], lib.calDeg[ph] = spd[ph], deg[ph]
+	}
 	return nil
 }
 
@@ -128,83 +208,9 @@ func (t *Trained) calibVectors() (spd, deg []float64) {
 	return spd, deg
 }
 
-// RefreshFrontLibrary incrementally updates the plan library after a
-// calibration change: only phases whose shifts differ from the ones the
-// fronts were pruned under are re-pruned (calibration enters pruning
-// through predictConfigsBatch, so an unchanged shift leaves a phase's
-// predictions — and therefore its survivor set — bit-for-bit identical
-// to a full rebuild's). Returns the re-pruned phase indices; a no-op
-// when no library is built or nothing shifted. Callers that change a
-// phase's models themselves (RetrainGlobal) rebuild those phases
-// directly instead.
-func (t *Trained) RefreshFrontLibrary() ([]int, error) {
-	if t.library == nil {
-		return nil, nil
-	}
-	curSpd, curDeg := t.calibVectors()
-	var changed []int
-	for ph := 0; ph < t.Phases; ph++ {
-		oldS, oldD := 0.0, 0.0
-		if ph < len(t.library.calSpd) {
-			oldS, oldD = t.library.calSpd[ph], t.library.calDeg[ph]
-		}
-		if curSpd[ph] != oldS || curDeg[ph] != oldD {
-			changed = append(changed, ph)
-		}
-	}
-	if len(changed) == 0 {
-		return nil, nil
-	}
-	if err := t.rebuildFrontPhases(changed); err != nil {
-		return nil, err
-	}
-	return changed, nil
-}
-
-// rebuildFrontPhases re-runs dominance pruning for the given phases in
-// every class and records the calibration the new fronts were pruned
-// under. The untouched phases keep their survivor sets.
-func (t *Trained) rebuildFrontPhases(phases []int) error {
-	stop := obs.Timer("core.library.refresh_duration")
-	defer stop()
-	space := enumerateSpace(t.Blocks)
-	pvs := t.libraryParamVecs()
-	if len(pvs) == 0 {
-		return fmt.Errorf("core: no parameter vectors to anchor the front library")
-	}
-	for _, sig := range t.classSigs() {
-		cf := t.library.classes[sig]
-		if cf == nil {
-			return fmt.Errorf("core: front library is missing class %q", sig)
-		}
-		cm := t.Classes[sig]
-		for _, ph := range phases {
-			if ph < 0 || ph >= len(cf.phase) {
-				return fmt.Errorf("core: front refresh phase %d out of range", ph)
-			}
-			pf, err := t.prunePhase(cm.Phase[ph], space, pvs)
-			if err != nil {
-				return fmt.Errorf("core: front refresh class %q phase %d: %w", sig, ph, err)
-			}
-			cf.phase[ph] = pf
-		}
-	}
-	curSpd, curDeg := t.calibVectors()
-	if len(t.library.calSpd) != t.Phases {
-		t.library.calSpd = make([]float64, t.Phases)
-		t.library.calDeg = make([]float64, t.Phases)
-	}
-	for _, ph := range phases {
-		t.library.calSpd[ph] = curSpd[ph]
-		t.library.calDeg[ph] = curDeg[ph]
-	}
-	obs.Inc("core.library.refreshes")
-	return nil
-}
-
 // enumerateSpace collects the non-accurate configuration space in
 // enumeration order. A configuration's position in the returned slice is
-// its enumeration index — the identity the persisted library stores.
+// its enumeration index — the identity the library stores.
 func enumerateSpace(blocks []approx.Block) []approx.Config {
 	space := make([]approx.Config, 0, approx.NumConfigs(blocks)-1)
 	approx.EnumerateConfigs(blocks, func(cfg approx.Config) bool {
@@ -216,162 +222,156 @@ func enumerateSpace(blocks []approx.Block) []approx.Config {
 	return space
 }
 
-// libraryParamVecs returns the deduplicated, lexicographically sorted
-// parameter vectors dominance pruning samples, capped at maxLibraryPVs
-// by even striding (first and last always kept).
+// decode writes the level vectors of the survivors, in ascending
+// enumeration order, into flat (len(blocks) ints per configuration) and
+// points cfgs (f.size() long) at them. EnumerateConfigs is lexicographic
+// with the last block varying fastest and starts at the accurate
+// all-zero configuration, so non-accurate index j is the mixed-radix
+// number j+1 over the blocks' level counts.
+func (f front) decode(blocks []approx.Block, flat []int, cfgs []approx.Config) {
+	nb := len(blocks)
+	k := 0
+	for i, by := range f {
+		for ; by != 0; by &= by - 1 {
+			cfg := flat[k*nb : (k+1)*nb : (k+1)*nb]
+			r := 8*i + bits.TrailingZeros8(by) + 1
+			for b := nb - 1; b >= 0; b-- {
+				lv := blocks[b].Levels()
+				cfg[b] = r % lv
+				r /= lv
+			}
+			cfgs[k] = cfg
+			k++
+		}
+	}
+}
+
+// libraryParamVecs returns the anchorRule's parameter vectors, sorted
+// lexicographically and deduplicated: every point of the representative
+// grid, the all-defaults vector (experiments report on it, and it is
+// off-grid for some apps), and interiorAnchors vectors drawn uniformly
+// over each parameter's [min, max] representative range — the box cold
+// dispatches arrive from. Everything derives from (Specs, Opts.Seed), so
+// a loaded model, which carries no training records, anchors exactly
+// where training did.
 func (t *Trained) libraryParamVecs() [][]float64 {
 	var vecs [][]float64
-	if len(t.Records) > 0 {
-		for _, r := range t.Records {
-			vecs = append(vecs, r.ParamVec)
-		}
-	} else {
-		rng := rand.New(rand.NewSource(t.Opts.Seed))
-		for _, p := range ParamCombos(t.Specs, t.Opts.MaxParamCombos, rng) {
-			vecs = append(vecs, p.Vector(t.Specs))
-		}
+	for _, p := range ParamCombos(t.Specs, 0, nil) {
+		vecs = append(vecs, p.Vector(t.Specs))
 	}
-	sort.SliceStable(vecs, func(a, b int) bool { return lexLess(vecs[a], vecs[b]) })
-	uniq := vecs[:0:0]
-	for _, v := range vecs {
-		if len(uniq) > 0 && lexEqual(uniq[len(uniq)-1], v) {
-			continue
+	vecs = append(vecs, apps.Params{}.Vector(t.Specs))
+	rng := rand.New(rand.NewSource(t.Opts.Seed ^ anchorSeedSalt))
+	for k := 0; k < interiorAnchors; k++ {
+		v := make([]float64, len(t.Specs))
+		for i, s := range t.Specs {
+			lo, hi := s.Values[0], s.Values[0]
+			for _, x := range s.Values {
+				lo, hi = min(lo, x), max(hi, x)
+			}
+			v[i] = lo + rng.Float64()*(hi-lo)
 		}
-		uniq = append(uniq, v)
+		vecs = append(vecs, v)
 	}
-	if len(uniq) > maxLibraryPVs {
-		out := make([][]float64, maxLibraryPVs)
-		for k := range out {
-			// Strictly increasing positions: the stride is >= 1 whenever
-			// len(uniq) > maxLibraryPVs.
-			out[k] = uniq[k*(len(uniq)-1)/(maxLibraryPVs-1)]
-		}
-		uniq = out
-	}
-	return uniq
-}
-
-func lexLess(a, b []float64) bool {
-	for i := range a {
-		if i >= len(b) {
-			return false
-		}
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
-}
-
-func lexEqual(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	slices.SortFunc(vecs, slices.Compare)
+	return slices.CompactFunc(vecs, slices.Equal)
 }
 
 // prunePhase batch-evaluates the whole configuration space at every
-// sampled parameter vector and keeps only configurations that (a) beat
-// the accurate floor somewhere and (b) have no earlier-enumerated weak
-// dominator across all sampled vectors.
-func (t *Trained) prunePhase(pm *PhaseModel, space []approx.Config, pvs [][]float64) (*phaseFront, error) {
-	n := len(space)
-	pf := &phaseFront{}
-	if n == 0 {
-		return pf, nil
+// anchor and keeps only configurations that (a) beat the accurate floor
+// somewhere and (b) have no earlier-enumerated weak dominator across all
+// anchors.
+func (t *Trained) prunePhase(pm *PhaseModel, space []approx.Config, pvs [][]float64) ([]int32, error) {
+	n, npv := len(space), len(pvs)
+	if n == 0 || npv == 0 {
+		return nil, nil
 	}
-	npv := len(pvs)
-	spd := make([]float64, npv*n)
-	deg := make([]float64, npv*n)
+	// One contiguous row of npv predictions per configuration, so each
+	// dominance check compares two short contiguous vectors.
+	spd := make([]float64, n*npv)
+	deg := make([]float64, n*npv)
+	slab := arena.NewSlab(2 * n)
+	defer slab.Release()
+	rowS, rowD := slab.Floats(n), slab.Floats(n)
 	for p, pv := range pvs {
-		if err := pm.predictConfigsBatch(t, pv, space, spd[p*n:(p+1)*n], deg[p*n:(p+1)*n]); err != nil {
+		if err := pm.predictConfigsBatch(t, pv, space, rowS, rowD); err != nil {
 			return nil, err
 		}
+		for j := range space {
+			spd[j*npv+p] = rowS[j]
+			deg[j*npv+p] = rowD[j]
+		}
 	}
-	return pruneDominated(space, spd, deg, npv), nil
+	return pruneDominated(n, spd, deg, npv), nil
 }
 
 // pruneDominated is the pure dominance filter over pre-computed
-// prediction matrices (spd and deg hold npv stacked rows of
-// len(space) predictions each).
-func pruneDominated(space []approx.Config, spd, deg []float64, npv int) *phaseFront {
-	n := len(space)
-	pf := &phaseFront{}
+// predictions: configuration j's predictions at the npv anchors are
+// spd[j*npv : (j+1)*npv] and deg[j*npv : (j+1)*npv]. It returns the
+// survivors' indices in ascending order.
+func pruneDominated(n int, spd, deg []float64, npv int) []int32 {
+	row := func(m []float64, j int) []float64 { return m[j*npv : (j+1)*npv] }
+	// dominates reports whether configuration i is at least as fast and
+	// at most as degrading as j at every anchor.
+	dominates := func(i, j int) bool {
+		si, di, sj, dj := row(spd, i), row(deg, i), row(spd, j), row(deg, j)
+		for p := range sj {
+			if si[p] < sj[p] || di[p] > dj[p] {
+				return false
+			}
+		}
+		return true
+	}
+	var out []int32
+candidates:
 	for j := 0; j < n; j++ {
 		// A configuration that never beats the accurate floor (speedup 1,
-		// degradation 0) is never on any sampled ladder.
-		useful := false
-		for p := 0; p < npv; p++ {
-			if spd[p*n+j] > 1 {
-				useful = true
-				break
-			}
-		}
-		if !useful {
+		// degradation 0) is never on any anchor's ladder.
+		if !slices.ContainsFunc(row(spd, j), func(s float64) bool { return s > 1 }) {
 			continue
 		}
-		dominated := false
-		for _, i := range pf.idx {
-			domAll := true
-			for p := 0; p < npv; p++ {
-				if spd[p*n+i] < spd[p*n+j] || deg[p*n+i] > deg[p*n+j] {
-					domAll = false
-					break
-				}
-			}
-			if domAll {
-				dominated = true
-				break
+		for _, i := range out {
+			if dominates(int(i), j) {
+				continue candidates
 			}
 		}
-		if dominated {
-			continue
-		}
-		pf.cfgs = append(pf.cfgs, space[j])
-		pf.idx = append(pf.idx, j)
+		out = append(out, int32(j))
 	}
-	return pf
+	return out
 }
 
-// phaseMenus builds every phase's upgrade ladder with buildPhaseFront:
-// over the phase's survivors when the library is on and covers the
-// class, otherwise over the whole non-accurate space, enumerated once
-// and shared by every phase.
-func (t *Trained) phaseMenus(cm *ClassModels, paramVec []float64) ([]phaseMenu, error) {
-	var cf *classFronts
-	if t.frontOn && t.library != nil {
-		if c := t.library.classes[cm.CtxSig]; c != nil && len(c.phase) == len(cm.Phase) {
-			cf = c
-		}
+// phaseMenus builds every phase's upgrade ladder with buildPhaseFront
+// over the phase's library survivors, decoded into pooled scratch. The
+// ladders' configurations alias that scratch, so callers keep the menus
+// no longer than until they call release.
+func (t *Trained) phaseMenus(cm *ClassModels, paramVec []float64) (menus []phaseMenu, release func(), err error) {
+	var fronts []front
+	if t.library != nil {
+		fronts = t.library.classes[cm.CtxSig]
 	}
-	var space []approx.Config
-	if cf == nil {
-		space = enumerateSpace(t.Blocks)
-	} else {
-		stop := obs.Timer("core.library.front_duration")
-		defer stop()
+	if len(fronts) != len(cm.Phase) {
+		return nil, nil, fmt.Errorf("core: front library does not cover class %q", cm.CtxSig)
 	}
-	menus := make([]phaseMenu, len(cm.Phase))
+	total := 0
+	for _, f := range fronts {
+		total += f.size()
+	}
+	nb := len(t.Blocks)
+	flatp := arena.Ints(total * nb)
+	release = func() { arena.PutInts(flatp) }
+	cfgs := make([]approx.Config, total)
+	menus = make([]phaseMenu, len(cm.Phase))
+	off := 0
 	for ph, pm := range cm.Phase {
-		cfgs := space
-		if cf != nil {
-			cfgs = cf.phase[ph].cfgs
+		n := fronts[ph].size()
+		c := cfgs[off : off+n]
+		fronts[ph].decode(t.Blocks, (*flatp)[off*nb:(off+n)*nb], c)
+		off += n
+		if menus[ph], err = t.buildPhaseFront(pm, c, paramVec); err != nil {
+			release()
+			return nil, nil, err
 		}
-		m, err := t.buildPhaseFront(pm, cfgs, paramVec)
-		if err != nil {
-			return nil, err
-		}
-		menus[ph] = m
 	}
-	if cf != nil {
-		obs.Inc("core.library.front_builds")
-	}
-	return menus, nil
+	return menus, release, nil
 }
 
 // buildPhaseFront collapses configurations, in ascending enumeration

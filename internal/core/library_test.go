@@ -2,32 +2,50 @@ package core
 
 import (
 	"bytes"
+	"encoding/base64"
 	"encoding/json"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
 	"opprox/internal/approx"
 	"opprox/internal/apps"
+	"opprox/internal/apps/comd"
+	"opprox/internal/obs"
 )
 
-// planResult bundles one Optimize outcome for byte-level comparison
-// between the menu path and the front-library path.
+// planResult bundles one plan for comparison between the library path
+// and the full-space oracle.
 type planResult struct {
 	sched approx.Schedule
 	pred  Prediction
 }
 
-// optimizeGrid runs Optimize over every (size, budget) pair in order.
+// optimizeGrid runs Optimize over every (params, budget) pair in order.
 func optimizeGrid(t *testing.T, tr *Trained, params []apps.Params, budgets []float64) []planResult {
+	t.Helper()
+	return planGrid(t, tr.Optimize, params, budgets)
+}
+
+// scalarGrid is optimizeGrid on the full-space scalar oracle.
+func scalarGrid(t *testing.T, tr *Trained, params []apps.Params, budgets []float64) []planResult {
+	t.Helper()
+	return planGrid(t, tr.optimizeScalar, params, budgets)
+}
+
+func planGrid(t *testing.T, optimize func(apps.Params, float64) (approx.Schedule, Prediction, error),
+	params []apps.Params, budgets []float64) []planResult {
 	t.Helper()
 	var out []planResult
 	for _, p := range params {
 		for _, b := range budgets {
-			sched, pred, err := tr.Optimize(p, b)
+			sched, pred, err := optimize(p, b)
 			if err != nil {
-				t.Fatalf("Optimize(%v, %g): %v", p, b, err)
+				t.Fatalf("optimize(%v, %g): %v", p, b, err)
 			}
 			out = append(out, planResult{sched: sched, pred: pred})
 		}
@@ -40,38 +58,32 @@ var (
 	libGridBudgets = []float64{0, 1, 2.5, 5, 10, 25, 60}
 )
 
-// TestFrontPlansMatchMenuPlans is the tentpole's headline property: with
-// the library built from the training records, front-path plans are
-// bitwise-identical to menu-path plans at the training parameter vectors
-// for every budget — the dominance pruning never removes a ladder rung.
+// TestFrontPlansMatchMenuPlans is the library's headline property: at
+// the anchor parameter vectors, library plans are bitwise-identical to
+// the full-space scalar oracle's for every budget — the dominance
+// pruning never removes a ladder rung.
 func TestFrontPlansMatchMenuPlans(t *testing.T) {
 	_, tr := trainToy(t)
-	menu := optimizeGrid(t, tr, libGridParams, libGridBudgets)
-	if err := tr.EnableFrontLibrary(); err != nil {
-		t.Fatal(err)
+	if tr.library == nil {
+		t.Fatal("Train did not build the front library")
 	}
-	if !tr.frontOn || tr.library == nil {
-		t.Fatal("EnableFrontLibrary did not switch the optimizer onto the library")
-	}
+	menu := scalarGrid(t, tr, libGridParams, libGridBudgets)
 	front := optimizeGrid(t, tr, libGridParams, libGridBudgets)
 	for i := range menu {
 		if !reflect.DeepEqual(menu[i].sched, front[i].sched) {
 			t.Fatalf("plan %d: schedules diverge\nmenu:  %v\nfront: %v", i, menu[i].sched, front[i].sched)
 		}
-		if !reflect.DeepEqual(menu[i].pred, front[i].pred) {
+		if !reflect.DeepEqual(predictionBits(menu[i].pred), predictionBits(front[i].pred)) {
 			t.Fatalf("plan %d: predictions diverge\nmenu:  %+v\nfront: %+v", i, menu[i].pred, front[i].pred)
 		}
 	}
 }
 
 // TestFrontMenusMatchFullMenus pins the stronger per-phase claim behind
-// the plan equality: at every sampled parameter vector, the ladder built
-// over the survivors equals the ladder built over the full enumeration.
+// the plan equality: at every anchor, the ladder built over the
+// survivors equals the scalar oracle's ladder over the full enumeration.
 func TestFrontMenusMatchFullMenus(t *testing.T) {
 	_, tr := trainToy(t)
-	if err := tr.EnableFrontLibrary(); err != nil {
-		t.Fatal(err)
-	}
 	for _, pv := range tr.libraryParamVecs() {
 		cm, err := tr.classFor(pv)
 		if err != nil {
@@ -80,7 +92,7 @@ func TestFrontMenusMatchFullMenus(t *testing.T) {
 		if tr.library.classes[cm.CtxSig] == nil {
 			t.Fatalf("library does not cover class %q", cm.CtxSig)
 		}
-		menus, err := tr.phaseMenus(cm, pv)
+		menus, release, err := tr.phaseMenus(cm, pv)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,6 +101,42 @@ func TestFrontMenusMatchFullMenus(t *testing.T) {
 			if !reflect.DeepEqual(full.ladder, menus[ph].ladder) {
 				t.Fatalf("pv %v phase %d: front ladder %+v != full ladder %+v",
 					pv, ph, menus[ph].ladder, full.ladder)
+			}
+		}
+		release()
+	}
+}
+
+// TestDecodeFrontMatchesEnumeration pins the bitset and mixed-radix
+// decoding the compact fronts rely on: every non-accurate enumeration
+// index decodes to exactly the configuration EnumerateConfigs yields at
+// that position.
+func TestDecodeFrontMatchesEnumeration(t *testing.T) {
+	for _, blocks := range [][]approx.Block{toyApp{}.Blocks(), benchApp{}.Blocks(), comd.New().Blocks()} {
+		space := enumerateSpace(blocks)
+		idx := make([]int32, len(space))
+		for j := range idx {
+			idx[j] = int32(j)
+		}
+		f := newFront(idx, len(space))
+		if f.size() != len(space) {
+			t.Fatalf("full front holds %d of %d configurations", f.size(), len(space))
+		}
+		cfgs := make([]approx.Config, len(space))
+		f.decode(blocks, make([]int, len(space)*len(blocks)), cfgs)
+		if !reflect.DeepEqual(cfgs, space) {
+			t.Fatalf("decoded configurations diverge from the enumeration over %d blocks", len(blocks))
+		}
+		// Every other index: the decoder skips unset bits.
+		var odd []int32
+		for j := 1; j < len(space); j += 2 {
+			odd = append(odd, int32(j))
+		}
+		cfgs = cfgs[:len(odd)]
+		newFront(odd, len(space)).decode(blocks, make([]int, len(odd)*len(blocks)), cfgs)
+		for k, j := range odd {
+			if !reflect.DeepEqual(cfgs[k], space[j]) {
+				t.Fatalf("index %d decodes to %v, enumeration has %v", j, cfgs[k], space[j])
 			}
 		}
 	}
@@ -196,22 +244,20 @@ func TestPredictConfigsBatchRejectsBadLevels(t *testing.T) {
 // itself is pinned by TestPruneDominated.)
 func TestFrontLibraryInvariants(t *testing.T) {
 	_, tr := trainToy(t)
-	if err := tr.BuildFrontLibrary(); err != nil {
-		t.Fatal(err)
-	}
 	space := len(enumerateSpace(tr.Blocks))
-	for sig, cf := range tr.library.classes {
-		if len(cf.phase) != tr.Phases {
-			t.Fatalf("class %q: %d phase fronts for %d phases", sig, len(cf.phase), tr.Phases)
+	if len(tr.library.classes) != len(tr.Classes) {
+		t.Fatalf("library covers %d of %d classes", len(tr.library.classes), len(tr.Classes))
+	}
+	for sig, fronts := range tr.library.classes {
+		if len(fronts) != tr.Phases {
+			t.Fatalf("class %q: %d phase fronts for %d phases", sig, len(fronts), tr.Phases)
 		}
-		for ph, pf := range cf.phase {
-			if len(pf.cfgs) == 0 || len(pf.cfgs) > space {
-				t.Fatalf("class %q phase %d: %d survivors out of %d configs", sig, ph, len(pf.cfgs), space)
+		for ph, f := range fronts {
+			if len(f) != (space+7)/8 {
+				t.Fatalf("class %q phase %d: %d-byte front for %d configs", sig, ph, len(f), space)
 			}
-			for k := 1; k < len(pf.idx); k++ {
-				if pf.idx[k] <= pf.idx[k-1] {
-					t.Fatalf("class %q phase %d: indices not strictly increasing: %v", sig, ph, pf.idx)
-				}
+			if n := f.size(); n == 0 || n > space {
+				t.Fatalf("class %q phase %d: %d survivors out of %d configs", sig, ph, n, space)
 			}
 		}
 	}
@@ -220,58 +266,80 @@ func TestFrontLibraryInvariants(t *testing.T) {
 // TestFrontLibraryPrunesBenchApp checks tier 1 does real work on a space
 // with dominated configurations: on benchApp every gamma > 0 setting is
 // dominated, so well over half of the 215 configurations must be pruned
-// — and the surviving front must still produce menu-identical plans.
+// — and the surviving front must still produce oracle-identical plans.
 func TestFrontLibraryPrunesBenchApp(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a 3-block model; skipped with -short")
 	}
 	tr := trainBench(t)
 	params := []apps.Params{{"size": 10}, {"size": 20}}
-	menu := optimizeGrid(t, tr, params, libGridBudgets)
-	if err := tr.EnableFrontLibrary(); err != nil {
-		t.Fatal(err)
-	}
 	space := len(enumerateSpace(tr.Blocks))
-	for sig, cf := range tr.library.classes {
-		for ph, pf := range cf.phase {
-			if len(pf.cfgs) > space/2 {
+	for sig, fronts := range tr.library.classes {
+		for ph, f := range fronts {
+			if n := f.size(); n > space/2 {
 				t.Fatalf("class %q phase %d: only %d of %d configs pruned",
-					sig, ph, space-len(pf.cfgs), space)
+					sig, ph, space-n, space)
 			}
 		}
 	}
-	front := optimizeGrid(t, tr, params, libGridBudgets)
-	if !reflect.DeepEqual(menu, front) {
-		t.Fatal("front-path plans diverge from menu-path plans on benchApp")
+	if !reflect.DeepEqual(scalarGrid(t, tr, params, libGridBudgets), optimizeGrid(t, tr, params, libGridBudgets)) {
+		t.Fatal("front-path plans diverge from the full-space oracle on benchApp")
+	}
+}
+
+// TestFrontLibraryPoolSizeInvariant pins the fixed-slot pool: the
+// library is the same with one prune worker as with more workers than
+// (class, phase) jobs.
+func TestFrontLibraryPoolSizeInvariant(t *testing.T) {
+	tr, err := Train(apps.NewRunner(twoPathApp{}), fastOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := tr.library
+	for _, workers := range []int{1, 3, 64} {
+		tr.Opts.Parallelism = workers
+		if err := tr.buildFrontLibrary(); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(tr.library, want) {
+			t.Fatalf("%d prune workers built a different library", workers)
+		}
 	}
 }
 
 // TestPruneDominated pins the dominance filter on controlled prediction
 // matrices: dominated configurations are removed, equal-prediction ties
-// keep the earlier enumeration index, disagreement across parameter
-// vectors blocks pruning, and floor-bound configurations drop out.
+// keep the earlier enumeration index, disagreement across anchors blocks
+// pruning, and floor-bound configurations drop out.
 func TestPruneDominated(t *testing.T) {
-	space := []approx.Config{{1, 0}, {0, 1}, {2, 0}, {0, 2}, {3, 0}}
-	// Two sampled parameter vectors (rows), five configs (columns):
-	//   cfg0 dominates cfg1 at both pvs (equal speedup, less degradation).
-	//   cfg2 beats cfg3 at pv0 but not at pv1 -> cfg3 must survive.
+	// Five configurations (rows) at two anchors (columns):
+	//   cfg0 dominates cfg1 at both anchors (equal speedup, less degradation).
+	//   cfg2 beats cfg3 at anchor 0 but not at anchor 1 -> cfg3 must survive.
 	//   cfg4 never beats the accurate floor (speedup <= 1 everywhere).
 	spd := []float64{
-		1.5, 1.5, 2.0, 1.9, 1.0,
-		1.4, 1.4, 1.8, 1.9, 0.9,
+		1.5, 1.4,
+		1.5, 1.4,
+		2.0, 1.8,
+		1.9, 1.9,
+		1.0, 0.9,
 	}
 	deg := []float64{
-		1.0, 2.0, 3.0, 4.0, 0.5,
-		1.0, 2.0, 3.0, 4.0, 0.5,
+		1.0, 1.0,
+		2.0, 2.0,
+		3.0, 3.0,
+		4.0, 4.0,
+		0.5, 0.5,
 	}
-	pf := pruneDominated(space, spd, deg, 2)
-	if want := []int{0, 2, 3}; !reflect.DeepEqual(pf.idx, want) {
-		t.Fatalf("survivors %v, want %v", pf.idx, want)
+	if got, want := pruneDominated(5, spd, deg, 2), []int32{0, 2, 3}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("survivors %v, want %v", got, want)
 	}
-	// With only pv0 sampled, cfg3 is dominated by cfg2 too.
-	pf = pruneDominated(space, spd[:5], deg[:5], 1)
-	if want := []int{0, 2}; !reflect.DeepEqual(pf.idx, want) {
-		t.Fatalf("single-pv survivors %v, want %v", pf.idx, want)
+	// With only anchor 0, cfg3 is dominated by cfg2 too.
+	spd0, deg0 := make([]float64, 5), make([]float64, 5)
+	for j := range spd0 {
+		spd0[j], deg0[j] = spd[2*j], deg[2*j]
+	}
+	if got, want := pruneDominated(5, spd0, deg0, 1), []int32{0, 2}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("single-anchor survivors %v, want %v", got, want)
 	}
 }
 
@@ -279,9 +347,6 @@ func TestPruneDominated(t *testing.T) {
 // property on the front path.
 func TestOptimizeBudgetMonotoneFront(t *testing.T) {
 	runner, tr := trainToy(t)
-	if err := tr.EnableFrontLibrary(); err != nil {
-		t.Fatal(err)
-	}
 	p := apps.DefaultParams(toyApp{})
 	prev := 0.0
 	for _, budget := range []float64{2, 5, 10, 25} {
@@ -303,45 +368,35 @@ func TestOptimizeBudgetMonotoneFront(t *testing.T) {
 	}
 }
 
-// TestLibraryPersistRoundTrip trains with the library on, saves, reloads,
-// and requires the loaded model to serve identical front-path plans with
-// an identical survivor set — no records travel with the file, so this
-// also pins the ParamCombos reproduction path.
+// TestLibraryPersistRoundTrip trains, saves, reloads, and requires the
+// loaded model to carry the identical survivor sets — imported, not
+// rebuilt — and to serve identical plans. No records travel with the
+// file, so this also pins that the anchors derive from the persisted
+// specs and seed alone.
 func TestLibraryPersistRoundTrip(t *testing.T) {
-	opts := fastOptions()
-	opts.FrontLibrary = true
-	tr, err := Train(apps.NewRunner(toyApp{}), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tr.frontOn || tr.library == nil {
-		t.Fatal("Options.FrontLibrary did not build the library at train time")
-	}
+	_, tr := trainToy(t)
 	var buf bytes.Buffer
 	if err := tr.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
+	builds := obs.Default.Counter("core.library.builds")
+	before := builds.Value()
 	loaded, err := LoadTrained(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !loaded.frontOn || loaded.library == nil {
-		t.Fatal("loading a model with a persisted library must re-arm the front path")
+	if builds.Value() != before {
+		t.Fatal("loading a file with a current library rebuilt it")
 	}
-	for sig, cf := range tr.library.classes {
-		lcf := loaded.library.classes[sig]
-		if lcf == nil {
-			t.Fatalf("class %q missing from loaded library", sig)
-		}
-		for ph := range cf.phase {
-			if !reflect.DeepEqual(cf.phase[ph].idx, lcf.phase[ph].idx) {
-				t.Fatalf("class %q phase %d: survivors %v != loaded %v",
-					sig, ph, cf.phase[ph].idx, lcf.phase[ph].idx)
-			}
-			if !reflect.DeepEqual(cf.phase[ph].cfgs, lcf.phase[ph].cfgs) {
-				t.Fatalf("class %q phase %d: configs diverge after reload", sig, ph)
-			}
-		}
+	if !reflect.DeepEqual(tr.library, loaded.library) {
+		t.Fatal("survivor sets diverge across a save/load round trip")
+	}
+	rebuilt := *loaded
+	if err := rebuilt.buildFrontLibrary(); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rebuilt.library, loaded.library) {
+		t.Fatal("a loaded model's anchors prune differently from training's")
 	}
 	want := optimizeGrid(t, tr, libGridParams, libGridBudgets)
 	got := optimizeGrid(t, loaded, libGridParams, libGridBudgets)
@@ -350,16 +405,79 @@ func TestLibraryPersistRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLoadRebuildsLibraryUnderOtherAnchors loads a model file written
+// before the anchor rule was recorded (testdata/prechange_model.json:
+// the toy app at fastOptions, saved with the front library switched on
+// and pruned at the training vectors only) and current files whose
+// library is missing or carries another rule. Each rebuilds the library
+// under the current rule instead of trusting the persisted fronts.
+func TestLoadRebuildsLibraryUnderOtherAnchors(t *testing.T) {
+	old, err := os.ReadFile(filepath.Join("testdata", "prechange_model.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, tr := trainToy(t)
+	var buf bytes.Buffer
+	if err := tr.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	drop := func(mf map[string]any) { delete(mf, "front_library") }
+	otherRule := func(mf map[string]any) { mf["front_library"].(map[string]any)["anchors"] = "training-vectors" }
+	files := map[string][]byte{"pre-change Save": old, "no library": mutateModel(t, buf.Bytes(), drop),
+		"other anchor rule": mutateModel(t, buf.Bytes(), otherRule)}
+	builds := obs.Default.Counter("core.library.builds")
+	for name, raw := range files {
+		t.Run(name, func(t *testing.T) {
+			before := builds.Value()
+			loaded, err := LoadTrained(bytes.NewReader(raw))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if builds.Value() != before+1 {
+				t.Fatal("load did not rebuild the library")
+			}
+			fresh := *loaded
+			if err := fresh.buildFrontLibrary(); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(fresh.library, loaded.library) {
+				t.Fatal("load kept fronts pruned under another anchor rule")
+			}
+			if !reflect.DeepEqual(scalarGrid(t, loaded, libGridParams, libGridBudgets),
+				optimizeGrid(t, loaded, libGridParams, libGridBudgets)) {
+				t.Fatal("rebuilt library plans diverge from the full-space oracle")
+			}
+		})
+	}
+	var mf map[string]any
+	if err := json.Unmarshal(old, &mf); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := mf["front_library"]; !ok {
+		t.Fatal("fixture lost its pre-change front library")
+	}
+}
+
+// mutateModel round-trips a saved model through a generic JSON map.
+func mutateModel(t *testing.T, raw []byte, mutate func(map[string]any)) []byte {
+	t.Helper()
+	var mf map[string]any
+	if err := json.Unmarshal(raw, &mf); err != nil {
+		t.Fatal(err)
+	}
+	mutate(mf)
+	out, err := json.Marshal(mf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // TestImportLibraryRejectsCorrupt exercises the structural validation on
 // the persisted survivor sets: a corrupt library must fail the load, not
 // produce a silently wrong fast path.
 func TestImportLibraryRejectsCorrupt(t *testing.T) {
-	opts := fastOptions()
-	opts.FrontLibrary = true
-	tr, err := Train(apps.NewRunner(toyApp{}), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, tr := trainToy(t)
 	var buf bytes.Buffer
 	if err := tr.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -371,14 +489,19 @@ func TestImportLibraryRejectsCorrupt(t *testing.T) {
 		name   string
 		mutate func(classes map[string]any)
 	}{
-		{"non-increasing indices", func(classes map[string]any) {
-			classes[sig].([]any)[0] = []any{1.0, 1.0}
-		}},
 		{"index out of range", func(classes map[string]any) {
-			classes[sig].([]any)[0] = []any{float64(nspace)}
+			f := make([]byte, (nspace+7)/8)
+			f[nspace/8] |= 1 << (nspace % 8)
+			classes[sig].([]any)[0] = base64.StdEncoding.EncodeToString(f)
 		}},
-		{"negative index", func(classes map[string]any) {
-			classes[sig].([]any)[0] = []any{-1.0}
+		{"front too long", func(classes map[string]any) {
+			classes[sig].([]any)[0] = base64.StdEncoding.EncodeToString(make([]byte, (nspace+7)/8+1))
+		}},
+		{"front too short", func(classes map[string]any) {
+			classes[sig].([]any)[0] = base64.StdEncoding.EncodeToString(make([]byte, (nspace+7)/8-1))
+		}},
+		{"not base64", func(classes map[string]any) {
+			classes[sig].([]any)[0] = "!!"
 		}},
 		{"unknown class", func(classes map[string]any) {
 			classes["no>such>class"] = classes[sig]
@@ -392,19 +515,13 @@ func TestImportLibraryRejectsCorrupt(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var mf map[string]any
-			if err := json.Unmarshal(buf.Bytes(), &mf); err != nil {
-				t.Fatal(err)
-			}
-			lib, ok := mf["front_library"].(map[string]any)
-			if !ok {
-				t.Fatal("saved model has no front_library field")
-			}
-			tc.mutate(lib["classes"].(map[string]any))
-			raw, err := json.Marshal(mf)
-			if err != nil {
-				t.Fatal(err)
-			}
+			raw := mutateModel(t, buf.Bytes(), func(mf map[string]any) {
+				lib, ok := mf["front_library"].(map[string]any)
+				if !ok {
+					t.Fatal("saved model has no front_library field")
+				}
+				tc.mutate(lib["classes"].(map[string]any))
+			})
 			if _, err := LoadTrained(bytes.NewReader(raw)); err == nil {
 				t.Fatal("corrupt library accepted")
 			}
@@ -412,26 +529,58 @@ func TestImportLibraryRejectsCorrupt(t *testing.T) {
 	}
 }
 
-// TestLibraryParamVecsDedupeAndCap checks the pruning anchor set: sorted,
-// deduplicated, and capped with the first and last vectors always kept.
-func TestLibraryParamVecsDedupeAndCap(t *testing.T) {
-	var recs []Record
-	for i := 40; i >= 0; i-- {
-		pv := []float64{float64(i % 21), float64(i % 3)}
-		recs = append(recs, Record{ParamVec: pv}, Record{ParamVec: pv})
-	}
-	tr := &Trained{Records: recs}
+// TestLibraryParamVecsAnchors checks the pruning anchor set: sorted and
+// deduplicated; holding every representative grid point, the
+// all-defaults vector and the interior sample inside the parameter box;
+// a function of (Specs, Seed) alone.
+func TestLibraryParamVecsAnchors(t *testing.T) {
+	specs := comd.New().Params()
+	tr := &Trained{Specs: specs, Opts: Options{Seed: 1}}
 	got := tr.libraryParamVecs()
-	if len(got) > maxLibraryPVs {
-		t.Fatalf("%d vectors exceed the %d cap", len(got), maxLibraryPVs)
+	grid := ParamCombos(specs, 0, nil)
+	if want := len(grid) + 1 + interiorAnchors; len(got) != want {
+		t.Fatalf("%d anchors, want %d (grid %d, default, interior %d)", len(got), want, len(grid), interiorAnchors)
 	}
 	for i := 1; i < len(got); i++ {
-		if !lexLess(got[i-1], got[i]) {
-			t.Fatalf("vectors not strictly increasing at %d: %v then %v", i, got[i-1], got[i])
+		if slices.Compare(got[i-1], got[i]) >= 0 {
+			t.Fatalf("anchors not strictly increasing at %d: %v then %v", i, got[i-1], got[i])
 		}
 	}
-	if got[0][0] != 0 || got[len(got)-1][0] != 20 {
-		t.Fatalf("extremes not kept: first %v last %v", got[0], got[len(got)-1])
+	has := func(v []float64) bool {
+		for _, a := range got {
+			if slices.Equal(a, v) {
+				return true
+			}
+		}
+		return false
+	}
+	for _, p := range grid {
+		if !has(p.Vector(specs)) {
+			t.Fatalf("grid point %v is not an anchor", p)
+		}
+	}
+	if def := (apps.Params{}).Vector(specs); !has(def) {
+		t.Fatalf("default vector %v is not an anchor", def)
+	}
+	for _, v := range got {
+		for i, s := range specs {
+			if v[i] < min(s.Values[0], s.Values[1]) || v[i] > max(s.Values[0], s.Values[1]) {
+				t.Fatalf("anchor %v leaves the box of parameter %s", v, s.Name)
+			}
+		}
+	}
+	if again := tr.libraryParamVecs(); !reflect.DeepEqual(again, got) {
+		t.Fatal("anchors differ between two calls")
+	}
+	tr.Opts.Seed = 2
+	if other := tr.libraryParamVecs(); reflect.DeepEqual(other, got) {
+		t.Fatal("the interior sample ignores the seed")
+	}
+	// Duplicates collapse: two representative values that coincide give
+	// one grid point.
+	tr.Specs = []apps.ParamSpec{{Name: "x", Values: []float64{3, 3}, Default: 3}}
+	if got := tr.libraryParamVecs(); len(got) != 1 {
+		t.Fatalf("degenerate box gave %d anchors, want 1", len(got))
 	}
 }
 
@@ -449,16 +598,11 @@ func TestFrontLibraryMultiClass(t *testing.T) {
 		{"size": 20, "mode": 0},
 		{"size": 20, "mode": 1},
 	}
-	menu := optimizeGrid(t, tr, params, libGridBudgets)
-	if err := tr.EnableFrontLibrary(); err != nil {
-		t.Fatal(err)
-	}
 	if len(tr.library.classes) != len(tr.Classes) {
 		t.Fatalf("library covers %d of %d classes", len(tr.library.classes), len(tr.Classes))
 	}
-	front := optimizeGrid(t, tr, params, libGridBudgets)
-	if !reflect.DeepEqual(menu, front) {
-		t.Fatal("front-path plans diverge from menu-path plans on the two-class app")
+	if !reflect.DeepEqual(scalarGrid(t, tr, params, libGridBudgets), optimizeGrid(t, tr, params, libGridBudgets)) {
+		t.Fatal("front-path plans diverge from the full-space oracle on the two-class app")
 	}
 	checkBatchMatchesScalar(t, tr)
 }
@@ -470,7 +614,6 @@ func TestFrontLibraryMultiClass(t *testing.T) {
 func TestExpandFeaturesTraining(t *testing.T) {
 	opts := fastOptions()
 	opts.ExpandFeatures = true
-	opts.FrontLibrary = true
 	tr, err := Train(apps.NewRunner(toyApp{}), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -541,17 +684,15 @@ func initFuzzMenus() {
 		fuzzMenus.err = err
 		return
 	}
-	if err := tr.EnableFrontLibrary(); err != nil {
-		fuzzMenus.err = err
-		return
-	}
 	pv := apps.DefaultParams(toyApp{}).Vector(tr.Specs)
 	cm, err := tr.classFor(pv)
 	if err != nil {
 		fuzzMenus.err = err
 		return
 	}
-	fuzzMenus.front, fuzzMenus.err = tr.phaseMenus(cm, pv)
+	// The cached ladders outlive this call, so their scratch is never
+	// released back to the pool.
+	fuzzMenus.front, _, fuzzMenus.err = tr.phaseMenus(cm, pv)
 	if fuzzMenus.err != nil {
 		return
 	}

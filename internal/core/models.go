@@ -209,14 +209,13 @@ type Trained struct {
 	// CalibrateCanary); nil when the models are used as trained.
 	calib *canaryShift
 
-	// library holds the Pareto-front plan library (DESIGN.md §14): per
-	// (class, phase) the configurations that survive dominance pruning
-	// over a sample of training parameter vectors. Built at train time
-	// when Options.FrontLibrary is set, reconstructed by LoadTrained from
-	// the persisted survivor sets, or built on demand by
-	// EnableFrontLibrary. frontOn gates whether Optimize consults it.
+	// library holds the Pareto-front plan library (DESIGN.md §14) that
+	// Optimize builds every ladder from: per (class, phase) the
+	// configurations that survive dominance pruning over the anchor
+	// parameter vectors. Built by FitRecords, imported by LoadTrained
+	// from the persisted survivor sets, and kept current by every
+	// calibration setter and RetrainGlobal.
 	library *planLibrary
-	frontOn bool
 }
 
 // Train runs OPPROX's offline pipeline for an application: phase search,
@@ -315,10 +314,8 @@ func FitRecords(app apps.App, phases int, records []Record, opts Options, rng *r
 		}
 		t.Classes[pooledClass] = cm
 	}
-	if opts.FrontLibrary {
-		if err := t.BuildFrontLibrary(); err != nil {
-			return nil, fmt.Errorf("front library: %w", err)
-		}
+	if err := t.buildFrontLibrary(); err != nil {
+		return nil, fmt.Errorf("front library: %w", err)
 	}
 	return t, nil
 }

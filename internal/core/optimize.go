@@ -48,17 +48,18 @@ func (t *Trained) Optimize(p apps.Params, budget float64) (approx.Schedule, Pred
 		return approx.Schedule{}, Prediction{}, err
 	}
 
-	// Each phase's configuration space is collapsed exactly once into an
-	// upgrade ladder; every budget query afterwards is a binary search, so
-	// planMenus' reallocation passes cost O(log configs) instead of a full
-	// re-enumeration each. The ladders come from one batched predictor,
-	// over the Pareto-front library's survivors when it is enabled and
-	// over the whole space otherwise (library.go).
-	menus, err := t.phaseMenus(cm, pv)
+	// Each phase's Pareto-front survivors are collapsed exactly once into
+	// an upgrade ladder by one batched predict pass (library.go); every
+	// budget query afterwards is a binary search, so planMenus'
+	// reallocation passes cost O(log configs) instead of a full
+	// re-enumeration each. planMenus clones the levels it returns, so the
+	// ladders' scratch is released right after.
+	menus, release, err := t.phaseMenus(cm, pv)
 	if err != nil {
 		return approx.Schedule{}, Prediction{}, err
 	}
 	sched, pred := t.planMenus(cm, menus, budget)
+	release()
 	stop()
 	obs.Inc("core.optimize.runs")
 	return sched, pred, nil
@@ -160,6 +161,11 @@ func (t *Trained) planMenus(cm *ClassModels, menus []phaseMenu, budget float64) 
 	// only, so the search is a monotone descent and terminates. Without
 	// this escape, raising the budget can lower the predicted speedup.
 	localSearch := func(plans []PhasePlan, levels []approx.Config) ([]PhasePlan, []approx.Config) {
+		// One candidate buffer per call: a rejected candidate is
+		// overwritten by the next rung, an accepted one swaps roles with
+		// the plan it replaces.
+		cand := make([]PhasePlan, len(plans))
+		candLevels := make([]approx.Config, len(levels))
 		for pass := 0; pass < t.Phases+1; pass++ {
 			improved := false
 			for _, ph := range order {
@@ -167,18 +173,18 @@ func (t *Trained) planMenus(cm *ClassModels, menus []phaseMenu, budget float64) 
 				if cur == 0 {
 					continue
 				}
-				// Candidate rungs strictly cheaper than the current one,
-				// plus the accurate floor.
-				rungs := []phaseChoice{{cfg: menus[ph].accurate, spd: 1, deg: 0}}
-				for _, r := range menus[ph].ladder {
-					if r.deg < cur {
-						rungs = append(rungs, r)
+				// Candidate rungs: the accurate floor, then every ladder
+				// rung strictly cheaper than the current one (a NaN
+				// degradation never is).
+				ladder := menus[ph].ladder
+				for k := -1; k < len(ladder); k++ {
+					r := phaseChoice{cfg: menus[ph].accurate, spd: 1, deg: 0}
+					if k >= 0 {
+						if r = ladder[k]; !(r.deg < cur) {
+							continue
+						}
 					}
-				}
-				for _, r := range rungs {
-					cand := make([]PhasePlan, len(plans))
 					copy(cand, plans)
-					candLevels := make([]approx.Config, len(levels))
 					copy(candLevels, levels)
 					cand[ph] = PhasePlan{Phase: ph, Levels: r.cfg, Budget: r.deg, Speedup: r.spd, Degradation: r.deg}
 					candLevels[ph] = r.cfg
@@ -196,8 +202,8 @@ func (t *Trained) planMenus(cm *ClassModels, menus []phaseMenu, budget float64) 
 						refill(cand, candLevels, rem, -1)
 					}
 					if totalSavings(cand) > totalSavings(plans)+1e-12 {
-						plans = cand
-						levels = candLevels
+						plans, cand = cand, plans
+						levels, candLevels = candLevels, levels
 						improved = true
 						obs.Inc("core.optimize.reallocations")
 						// plans changed: the remaining rungs were computed

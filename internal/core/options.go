@@ -88,16 +88,6 @@ type Options struct {
 	// ROI, mirroring the paper's sensitivity profiling (§3.1).
 	UsableDegradation float64
 
-	// FrontLibrary builds the two-tier Pareto-front plan library at train
-	// time (autoAx-style, DESIGN.md §14): per (class, phase), the
-	// configuration space is batch-evaluated over a sample of training
-	// parameter vectors and configurations dominated everywhere are pruned;
-	// Optimize then builds each phase's exact front over the survivors
-	// instead of the full space. The survivor sets are persisted with the
-	// model. Off by default; a loaded model can also be switched on at
-	// runtime with EnableFrontLibrary.
-	FrontLibrary bool
-
 	// ExpandFeatures widens every model's raw feature vector with derived
 	// terms (log-compressed magnitudes and pairwise products,
 	// poly.SpaceExpansion) before MIC filtering and fitting — the

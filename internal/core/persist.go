@@ -128,19 +128,33 @@ type calibDTO struct {
 }
 
 // libraryDTO persists the Pareto-front plan library's survivor sets
-// (DESIGN.md §14): per class, per phase, the strictly increasing
-// enumeration indices of the surviving configurations over the
-// non-accurate configuration space. Indices rather than level vectors
-// keep the encoding compact and make corruption detectable — every
-// index must round-trip through the block descriptors' enumeration.
+// (DESIGN.md §14): per class, per phase, the front bitset over the
+// non-accurate configuration space (base64 in JSON). Survivors are
+// identified by enumeration index rather than level vector, which keeps
+// the encoding compact and makes corruption detectable: the bitset must
+// be exactly as long as the block descriptors' enumeration needs, with
+// no survivor past its end.
 type libraryDTO struct {
-	// Classes maps control-flow signature to per-phase survivor indices.
-	Classes map[string][][]int `json:"classes"`
+	// Anchors names the anchor rule the survivors were pruned under
+	// (anchorRule). Files without it, or with another rule, carry fronts
+	// that are not exact at the current anchors; LoadTrained rebuilds
+	// those instead of importing them.
+	Anchors string `json:"anchors,omitempty"`
+	// Classes maps control-flow signature to per-phase fronts.
+	Classes map[string][]front `json:"classes"`
+}
+
+// fileOptions is Options as a model file carries it. Files written
+// while the front library was opt-in also carry its switch, which is
+// accepted and ignored: every model now has a library.
+type fileOptions struct {
+	Options
+	FrontLibrary bool `json:",omitempty"`
 }
 
 type modelFile struct {
 	Version     int                 `json:"version"`
-	Opts        Options             `json:"options"`
+	Opts        fileOptions         `json:"options"`
 	Phases      int                 `json:"phases"`
 	Specs       []apps.ParamSpec    `json:"params"`
 	Blocks      []approx.Block      `json:"blocks"`
@@ -157,7 +171,7 @@ type modelFile struct {
 func (t *Trained) Save(w io.Writer) error {
 	mf := modelFile{
 		Version: modelFileVersion,
-		Opts:    t.Opts,
+		Opts:    fileOptions{Options: t.Opts},
 		Phases:  t.Phases,
 		Specs:   t.Specs,
 		Blocks:  t.Blocks,
@@ -173,15 +187,7 @@ func (t *Trained) Save(w io.Writer) error {
 		}
 	}
 	if t.library != nil {
-		ld := &libraryDTO{Classes: make(map[string][][]int, len(t.library.classes))}
-		for sig, cf := range t.library.classes {
-			phases := make([][]int, len(cf.phase))
-			for ph, pf := range cf.phase {
-				phases[ph] = append([]int{}, pf.idx...)
-			}
-			ld.Classes[sig] = phases
-		}
-		mf.Library = ld
+		mf.Library = &libraryDTO{Anchors: anchorRule, Classes: t.library.classes}
 	}
 	for sig, cm := range t.Classes {
 		cd := classDTO{CtxSig: cm.CtxSig}
@@ -230,7 +236,7 @@ func LoadTrained(r io.Reader) (*Trained, error) {
 			mf.Phases, len(mf.Blocks), len(mf.Classes))
 	}
 	t := &Trained{
-		Opts:    mf.Opts,
+		Opts:    mf.Opts.Options,
 		Phases:  mf.Phases,
 		Specs:   mf.Specs,
 		Blocks:  mf.Blocks,
@@ -314,25 +320,26 @@ func LoadTrained(r io.Reader) (*Trained, error) {
 		}
 		t.Classes[sig] = cm
 	}
-	if mf.Library != nil {
+	if mf.Library != nil && mf.Library.Anchors == anchorRule {
 		if err := t.importLibrary(mf.Library); err != nil {
 			return nil, fmt.Errorf("core: model file front library: %w", err)
 		}
+	} else if err := t.buildFrontLibrary(); err != nil {
+		return nil, fmt.Errorf("core: front library: %w", err)
 	}
 	return t, nil
 }
 
 // importLibrary reconstructs the Pareto-front plan library from its
-// persisted survivor indices and switches the optimizer onto it. Every
-// index is validated against the enumeration of the block descriptors in
-// the same file, so a truncated or hand-edited library fails at load
-// time instead of producing silently wrong plans.
+// persisted fronts. Every front is validated against the size of the
+// enumeration of the block descriptors in the same file, so a truncated
+// or hand-edited library fails at load time instead of producing
+// silently wrong plans.
 func (t *Trained) importLibrary(ld *libraryDTO) error {
 	if len(ld.Classes) == 0 {
 		return fmt.Errorf("library block has no classes")
 	}
-	space := enumerateSpace(t.Blocks)
-	lib := &planLibrary{classes: make(map[string]*classFronts, len(ld.Classes))}
+	nspace := approx.NumConfigs(t.Blocks) - 1
 	sigs := make([]string, 0, len(ld.Classes))
 	for sig := range ld.Classes {
 		sigs = append(sigs, sig)
@@ -346,25 +353,17 @@ func (t *Trained) importLibrary(ld *libraryDTO) error {
 		if len(phases) != t.Phases {
 			return fmt.Errorf("library class %q has %d phases, model has %d", sig, len(phases), t.Phases)
 		}
-		cf := &classFronts{phase: make([]*phaseFront, len(phases))}
-		for ph, idx := range phases {
-			pf := &phaseFront{}
-			prev := -1
-			for _, j := range idx {
-				if j <= prev || j >= len(space) {
-					return fmt.Errorf("library class %q phase %d: survivor index %d invalid (previous %d, space %d)",
-						sig, ph, j, prev, len(space))
-				}
-				prev = j
-				pf.idx = append(pf.idx, j)
-				pf.cfgs = append(pf.cfgs, space[j])
+		for ph, f := range phases {
+			if len(f) != (nspace+7)/8 {
+				return fmt.Errorf("library class %q phase %d: front of %d bytes for a space of %d", sig, ph, len(f), nspace)
 			}
-			cf.phase[ph] = pf
+			if nspace%8 != 0 && f[len(f)-1]>>(nspace%8) != 0 {
+				return fmt.Errorf("library class %q phase %d: survivor past the end of a space of %d", sig, ph, nspace)
+			}
 		}
-		lib.classes[sig] = cf
 	}
 	for _, sig := range t.classSigs() {
-		if _, ok := lib.classes[sig]; !ok {
+		if _, ok := ld.Classes[sig]; !ok {
 			return fmt.Errorf("library is missing class %q", sig)
 		}
 	}
@@ -373,8 +372,8 @@ func (t *Trained) importLibrary(ld *libraryDTO) error {
 	// predictConfigsBatch), which LoadTrained installed before calling
 	// here — record it so a later recalibration re-prunes only phases
 	// whose shifts move.
+	lib := &planLibrary{classes: ld.Classes}
 	lib.calSpd, lib.calDeg = t.calibVectors()
 	t.library = lib
-	t.frontOn = true
 	return nil
 }

@@ -49,8 +49,8 @@ var ErrNoRefit = errors.New("core: no phase group had enough feedback rows to re
 // phases now behave alike, so their rows pool). nil means every phase
 // refits alone. Groups with fewer than minRows rows keep their trained
 // models. Calibration shifts of refit phases are zeroed — the refit
-// absorbed the drift the shifts were correcting — and, when a front
-// library is built, the refit phases are re-pruned in place.
+// absorbed the drift the shifts were correcting — and the refit phases
+// are re-pruned in the front library.
 //
 // Determinism: classes refit in sorted-signature order, groups in the
 // given order, rows in the caller's order, all sharing one seeded rng —
@@ -200,13 +200,7 @@ func (t *Trained) RetrainGlobal(samples []FeedbackSample, groups [][]int, minRow
 		}
 	}
 	if t.library != nil {
-		if err := t.rebuildFrontPhases(phases); err != nil {
-			return nil, err
-		}
-		// Non-refit phases may also have changed shifts (zeroing above
-		// only touches refit phases, but the caller may have folded new
-		// shifts in first) — bring the rest of the library current too.
-		if _, err := t.RefreshFrontLibrary(); err != nil {
+		if err := t.pruneFronts(t.library, phases); err != nil {
 			return nil, err
 		}
 	}

@@ -1,8 +1,8 @@
 package core
 
-// Tests for the incremental Pareto-front refresh (RefreshFrontLibrary)
-// and the feedback-driven global refit (RetrainGlobal) — the two core
-// entry points the online retraining pipeline drives.
+// Tests for the incremental Pareto-front refresh that every calibration
+// setter runs, and the feedback-driven global refit (RetrainGlobal) —
+// the two core entry points the online retraining pipeline drives.
 
 import (
 	"bytes"
@@ -15,16 +15,11 @@ import (
 
 // TestRefreshFrontLibraryMatchesFullRebuild pins the incremental
 // refresh's exactness: after a calibration change touching one phase,
-// re-pruning only that phase must produce a model bitwise identical to
-// a full library rebuild — calibration enters pruning strictly
-// per-phase, so the shortcut is lossless.
+// SetCalibration re-prunes only that phase, and the result is bitwise
+// identical to a full library rebuild — calibration enters pruning
+// strictly per-phase, so the shortcut is lossless.
 func TestRefreshFrontLibraryMatchesFullRebuild(t *testing.T) {
-	opts := fastOptions()
-	opts.FrontLibrary = true
-	tr, err := Train(apps.NewRunner(toyApp{}), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, tr := trainToy(t)
 	var buf bytes.Buffer
 	if err := tr.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -42,21 +37,25 @@ func TestRefreshFrontLibraryMatchesFullRebuild(t *testing.T) {
 	spd := make([]float64, tr.Phases)
 	deg := make([]float64, tr.Phases)
 	spd[1], deg[1] = 0.25, 0.1
+	sig := incr.classSigs()[0]
+	before := append([]front(nil), incr.library.classes[sig]...)
 	if err := incr.SetCalibration(spd, deg); err != nil {
 		t.Fatal(err)
 	}
-	changed, err := incr.RefreshFrontLibrary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(changed, []int{1}) {
-		t.Fatalf("refresh re-pruned phases %v, want [1]", changed)
+	after := append([]front(nil), incr.library.classes[sig]...)
+	for ph := range before {
+		// Re-pruning installs a fresh slice; an untouched phase keeps
+		// its original one.
+		same := &before[ph][0] == &after[ph][0]
+		if same == (ph == 1) {
+			t.Fatalf("phase %d re-pruned = %v, want only phase 1 re-pruned", ph, !same)
+		}
 	}
 
 	if err := full.SetCalibration(spd, deg); err != nil {
 		t.Fatal(err)
 	}
-	if err := full.BuildFrontLibrary(); err != nil {
+	if err := full.buildFrontLibrary(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -73,12 +72,21 @@ func TestRefreshFrontLibraryMatchesFullRebuild(t *testing.T) {
 
 	// Idempotence: nothing shifted since the refresh, so a second call
 	// re-prunes nothing.
-	again, err := incr.RefreshFrontLibrary()
-	if err != nil {
+	if err := incr.refreshFrontLibrary(); err != nil {
 		t.Fatal(err)
 	}
-	if len(again) != 0 {
-		t.Fatalf("no-op refresh re-pruned phases %v", again)
+	for ph, f := range incr.library.classes[sig] {
+		if &f[0] != &after[ph][0] {
+			t.Fatalf("no-op refresh re-pruned phase %d", ph)
+		}
+	}
+
+	// Clearing the calibration re-prunes back to the trained fronts.
+	if err := incr.ClearCalibration(); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(incr.library.classes, load().library.classes) {
+		t.Fatal("ClearCalibration left fronts pruned under the old shifts")
 	}
 }
 
@@ -118,12 +126,7 @@ func shiftedSamples(t *testing.T, tr *Trained, sShift, dShift float64) []Feedbac
 // identical artifacts (the core half of invariant D14), plus a clean
 // save/load round trip of the refit model.
 func TestRetrainGlobalDeterministicRoundTrip(t *testing.T) {
-	opts := fastOptions()
-	opts.FrontLibrary = true
-	tr, err := Train(apps.NewRunner(toyApp{}), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, tr := trainToy(t)
 	var buf bytes.Buffer
 	if err := tr.Save(&buf); err != nil {
 		t.Fatal(err)

@@ -75,12 +75,6 @@ type Options struct {
 	// cached plans immediately. Called with the model's state lock held —
 	// the callback must not call back into the Manager.
 	OnSwap func(name string)
-	// OnLoad, when set, runs on every model the manager materializes —
-	// first resolve, hot reload, and the recalibration clone — before it
-	// can serve or shadow. The serving layer hooks per-model setup here
-	// (-front-library builds the Pareto-front plan library). An error
-	// fails the load; the last-good state keeps serving.
-	OnLoad func(tr *core.Trained) error
 }
 
 func (o Options) withDefaults() Options {
@@ -204,9 +198,6 @@ func (m *Manager) state(ctx context.Context, name string) (*modelState, error) {
 		if err != nil {
 			return nil, fmt.Errorf("model %q: %w", name, err)
 		}
-		if err := m.afterLoad(tr); err != nil {
-			return nil, fmt.Errorf("model %q: %w", name, err)
-		}
 		m.reg.Install(name, tr)
 		return &modelState{
 			name:        name,
@@ -318,9 +309,6 @@ func (m *Manager) CreateShadow(name string, addSpd, addDeg []float64) (string, e
 	if err != nil {
 		return "", fmt.Errorf("lifecycle: cloning live model: %w", err)
 	}
-	if err := m.afterLoad(clone); err != nil {
-		return "", fmt.Errorf("lifecycle: cloning live model: %w", err)
-	}
 	spd, deg, ok := clone.CalibrationShifts()
 	if !ok {
 		spd = make([]float64, clone.Phases)
@@ -336,13 +324,6 @@ func (m *Manager) CreateShadow(name string, addSpd, addDeg []float64) (string, e
 	}
 	if err := clone.SetCalibration(spd, deg); err != nil {
 		return "", fmt.Errorf("lifecycle: recalibrating shadow: %w", err)
-	}
-	// The plan library (when OnLoad built one) was pruned under the OLD
-	// calibration; re-prune the shifted phases so the persisted shadow's
-	// survivor sets match its own calibration — incremental, only the
-	// phases the correction moved.
-	if _, err := clone.RefreshFrontLibrary(); err != nil {
-		return "", fmt.Errorf("lifecycle: refreshing shadow plan library: %w", err)
 	}
 	var out bytes.Buffer
 	if err := clone.Save(&out); err != nil {
@@ -381,9 +362,6 @@ func (m *Manager) CreateShadowFromBytes(name string, raw []byte) (string, error)
 	}
 	tr, err := core.LoadTrained(bytes.NewReader(raw))
 	if err != nil {
-		return "", fmt.Errorf("lifecycle: candidate model: %w", err)
-	}
-	if err := m.afterLoad(tr); err != nil {
 		return "", fmt.Errorf("lifecycle: candidate model: %w", err)
 	}
 	ver := Version(raw)
@@ -572,9 +550,6 @@ func (m *Manager) Reload(ctx context.Context, name string) (bool, error) {
 	if err != nil {
 		return false, fmt.Errorf("model %q: %w", name, err)
 	}
-	if err := m.afterLoad(tr); err != nil {
-		return false, fmt.Errorf("model %q: %w", name, err)
-	}
 	ver := Version(raw)
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -588,14 +563,6 @@ func (m *Manager) Reload(ctx context.Context, name string) (bool, error) {
 	m.noteSwap(name)
 	obs.Inc("lifecycle.reload")
 	return true, nil
-}
-
-// afterLoad runs the OnLoad hook on a freshly materialized model.
-func (m *Manager) afterLoad(tr *core.Trained) error {
-	if m.opts.OnLoad == nil {
-		return nil
-	}
-	return m.opts.OnLoad(tr)
 }
 
 // noteSwap fires the OnSwap hook after a live-version change.

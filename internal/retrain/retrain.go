@@ -261,10 +261,6 @@ func buildRecalibrate(liveRaw []byte, live *core.Trained, train []Row) Candidate
 		c.Err = err.Error()
 		return c
 	}
-	if _, err := clone.RefreshFrontLibrary(); err != nil {
-		c.Err = err.Error()
-		return c
-	}
 	c.raw = saveBytes(clone, &c)
 	return c
 }

@@ -19,6 +19,7 @@ import (
 	"testing"
 	"time"
 
+	"opprox/internal/obs"
 	"opprox/internal/shard"
 )
 
@@ -273,39 +274,33 @@ func TestShardedPromoteRollbackCoherence(t *testing.T) {
 	}
 }
 
-// TestServingConformanceFrontLibrary extends the byte-identity matrix
-// with a sixth path: a server running with the Pareto-front plan library
-// (-front-library) must serve bodies byte-identical to the menu-path
-// baseline — cold, cached, and across a full promote -> rollback cycle,
-// where the OnLoad hook has to rebuild the library for the recalibrated
-// shadow and again for the restored original.
+// TestServingConformanceFrontLibrary runs the byte-identity matrix's
+// cold, plan-cache-hit and promote -> rollback steps while watching the
+// Pareto-front plan library: every model file carries its library, so
+// no server load, lifecycle resolve, shadow clone or rollback may
+// rebuild one (the shadow's recalibration only re-prunes the phases its
+// shifts moved), and the bodies stay byte-identical throughout.
 func TestServingConformanceFrontLibrary(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a model; skipped with -short")
 	}
 	store := newFakeStore()
 	store.files["pso.json"] = trainedModelJSON(t)
+	builds := obs.Default.Counter("core.library.builds")
+	before := builds.Value()
 
-	menuSrv := newTestServer(t, store)
-	want := conformanceDispatch(t, menuSrv.URL)
+	first := newTestServer(t, store)
+	want := conformanceDispatch(t, first.URL)
+	assertSameBody(t, "cache hit", conformanceDispatch(t, first.URL), want)
 
-	withFront := func(o *Options) { o.FrontLibrary = true }
-	frontSrv := newTestServer(t, store, withFront)
-	assertSameBody(t, "front-library cold", conformanceDispatch(t, frontSrv.URL), want)
-	assertSameBody(t, "front-library cache hit", conformanceDispatch(t, frontSrv.URL), want)
-
-	// Promote -> rollback on a front-library server: the shadow version is
-	// recalibrated and re-loaded through the OnLoad hook, so every step
-	// must still track the menu path byte for byte.
 	opts := pilotOptions(store)
 	opts.Lifecycle.DisableAutoPromote = true
-	opts.FrontLibrary = true
 	srv := New(opts)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 
 	original := conformanceDispatch(t, ts.URL)
-	assertSameBody(t, "front-library pilot cold", original, want)
+	assertSameBody(t, "pilot cold", original, want)
 	var dr DispatchResponse
 	if err := json.Unmarshal(original, &dr); err != nil {
 		t.Fatal(err)
@@ -332,17 +327,18 @@ func TestServingConformanceFrontLibrary(t *testing.T) {
 	if bytes.Equal(promoted, original) {
 		t.Fatal("promote did not change the served plan")
 	}
-	// Menu path and front path agree on the promoted version too: a fresh
-	// menu-only server over the promoted store serves the same bytes.
-	menuPromoted := newTestServer(t, store)
-	assertSameBody(t, "menu server on promoted store", conformanceDispatch(t, menuPromoted.URL), promoted)
-	frontPromoted := newTestServer(t, store, withFront)
-	assertSameBody(t, "front server on promoted store", conformanceDispatch(t, frontPromoted.URL), promoted)
+	// The promoted version's persisted library serves a fresh server the
+	// same bytes.
+	fresh := newTestServer(t, store)
+	assertSameBody(t, "fresh server on promoted store", conformanceDispatch(t, fresh.URL), promoted)
 
 	if status, body := postJSON(t, ts.URL+"/v1/rollback", `{"model": "pso.json"}`); status != http.StatusOK {
 		t.Fatalf("rollback: %d %s", status, body)
 	}
-	assertSameBody(t, "front-library post-rollback", conformanceDispatch(t, ts.URL), original)
+	assertSameBody(t, "post-rollback", conformanceDispatch(t, ts.URL), original)
+	if n := builds.Value() - before; n != 0 {
+		t.Fatalf("serving rebuilt the front library %d times", n)
+	}
 }
 
 // TestClusterEndpoint checks the introspection view from both a

@@ -38,7 +38,6 @@ type Registry struct {
 	store     Store
 	retries   int
 	retryBase time.Duration
-	onLoad    func(tr *core.Trained) error
 
 	// sleep waits for d or until ctx is done; tests stub it to keep the
 	// backoff path instant.
@@ -55,11 +54,6 @@ type RegistryOptions struct {
 	// RetryBase is the first backoff delay; attempt k waits
 	// RetryBase << (k-1). Defaults to 25ms.
 	RetryBase time.Duration
-	// OnLoad, when set, runs on every model the registry loads before it
-	// is cached or returned — the per-model setup hook (-front-library
-	// builds the Pareto-front plan library here). An error fails the
-	// load and is classified like any validation failure.
-	OnLoad func(tr *core.Trained) error
 }
 
 // NewRegistry builds a registry over a model store.
@@ -74,7 +68,6 @@ func NewRegistry(store Store, opts RegistryOptions) *Registry {
 		store:     store,
 		retries:   opts.Retries,
 		retryBase: opts.RetryBase,
-		onLoad:    opts.OnLoad,
 		sleep:     sleepCtx,
 	}
 }
@@ -126,11 +119,6 @@ func (r *Registry) load(ctx context.Context, name string) (*core.Trained, error)
 		// corrupt bands, version skew): retrying the same bytes cannot
 		// help.
 		return nil, fmt.Errorf("%w: model %q: %v", ErrModelUnavailable, name, err)
-	}
-	if r.onLoad != nil {
-		if err := r.onLoad(tr); err != nil {
-			return nil, fmt.Errorf("%w: model %q: %v", ErrModelUnavailable, name, err)
-		}
 	}
 	return tr, nil
 }

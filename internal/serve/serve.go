@@ -83,12 +83,6 @@ type Options struct {
 	// PlanCacheCap bounds the dispatch-plan cache (0: DefaultPlanCacheCap;
 	// negative: disable caching — every dispatch recomputes).
 	PlanCacheCap int
-	// FrontLibrary switches every model this server loads onto the
-	// Pareto-front plan library (core.Trained.EnableFrontLibrary):
-	// models persisted without a library build one at load time, before
-	// the version starts serving. Applies across the whole lifecycle —
-	// first load, hot reload, shadow recalibration, promote, rollback.
-	FrontLibrary bool
 	// Admission configures ingress rate limiting (per-client and global
 	// token buckets, invalid-body lockout) on /v1/dispatch and
 	// /v1/feedback. Nil disables rate limiting entirely; the in-flight
@@ -173,22 +167,7 @@ func New(opts Options) *Server {
 	if opts.Store == nil {
 		opts.Store = FileStore{}
 	}
-	regOpts := opts.Registry
-	if opts.FrontLibrary {
-		// Chain rather than replace: a caller-provided hook still runs,
-		// after the library is in place.
-		callerLoad := regOpts.OnLoad
-		regOpts.OnLoad = func(tr *core.Trained) error {
-			if err := tr.EnableFrontLibrary(); err != nil {
-				return err
-			}
-			if callerLoad != nil {
-				return callerLoad(tr)
-			}
-			return nil
-		}
-	}
-	reg := NewRegistry(opts.Store, regOpts)
+	reg := NewRegistry(opts.Store, opts.Registry)
 	var pub lifecycle.Publisher
 	if p, ok := opts.Store.(lifecycle.Publisher); ok {
 		pub = p
@@ -231,21 +210,6 @@ func New(opts Options) *Server {
 		s.plans.invalidateModel(name)
 		if callerSwap != nil {
 			callerSwap(name)
-		}
-	}
-	if opts.FrontLibrary {
-		// The lifecycle manager loads models outside the registry (first
-		// resolve, reload, recalibration clone), so the hook rides both
-		// paths.
-		callerLoad := lcOpts.OnLoad
-		lcOpts.OnLoad = func(tr *core.Trained) error {
-			if err := tr.EnableFrontLibrary(); err != nil {
-				return err
-			}
-			if callerLoad != nil {
-				return callerLoad(tr)
-			}
-			return nil
 		}
 	}
 	s.mgr = lifecycle.NewManager(reg, pub, lcOpts)

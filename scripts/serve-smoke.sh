@@ -122,31 +122,21 @@ echo "$resp" | grep -q "\"live_version\":\"$v0\"" || {
 [ -s "$tmp/telemetry.jsonl" ] || {
     echo "serve-smoke: feedback telemetry log is empty" >&2; exit 1; }
 
-# --- Pareto-front plan library: a model trained with -front-library
-# carries its library in the file, and a server started with
-# -front-library builds one for every model it loads. Both fast paths
-# must serve the same plan as the plain path (volatile ids stripped).
+# --- Pareto-front plan library: every trained model carries its library
+# in the file, and a second server loading the same file imports it.
+# Both servers must serve the same plan (volatile ids stripped).
 plan_of() {
     echo "$1" | sed -e 's/"dispatch_id":"[^"]*",\{0,1\}//' \
         -e 's/"model_version":"[^"]*",\{0,1\}//'
 }
 
+grep -q '"front_library"' "$tmp/models/pso.json" || {
+    echo "serve-smoke: trained model carries no persisted library" >&2; exit 1; }
 body='{"app": "pso", "budget": 10, "model_path": "pso.json"}'
 resp=$(curl -sf -X POST -H 'Content-Type: application/json' -d "$body" "http://$addr/v1/dispatch")
 plain_plan=$(plan_of "$resp")
 
-"$tmp/opprox" -app pso -phases 2 -budget 10 -front-library \
-    -save "$tmp/models/pso-front.json" >/dev/null
-grep -q '"front_library"' "$tmp/models/pso-front.json" || {
-    echo "serve-smoke: -front-library model carries no persisted library" >&2; exit 1; }
-body='{"app": "pso", "budget": 10, "model_path": "pso-front.json"}'
-resp=$(curl -sf -X POST -H 'Content-Type: application/json' -d "$body" "http://$addr/v1/dispatch")
-echo "$resp" | grep -q '"degraded":false' || {
-    echo "serve-smoke: persisted-library dispatch degraded or failed: $resp" >&2; exit 1; }
-[ "$(plan_of "$resp")" = "$plain_plan" ] || {
-    echo "serve-smoke: persisted-library plan differs from the plain plan: $resp" >&2; exit 1; }
-
-"$tmp/opprox-serve" -addr 127.0.0.1:0 -models "$tmp/models" -front-library \
+"$tmp/opprox-serve" -addr 127.0.0.1:0 -models "$tmp/models" \
     2>"$tmp/serve2.log" &
 pid2=$!
 addr2=""
@@ -155,7 +145,7 @@ while [ $i -lt 100 ]; do
     addr2=$(sed -n 's|.*listening on http://\([^ ]*\).*|\1|p' "$tmp/serve2.log")
     if [ -n "$addr2" ]; then break; fi
     if ! kill -0 "$pid2" 2>/dev/null; then
-        echo "serve-smoke: -front-library server died during startup:" >&2
+        echo "serve-smoke: second server died during startup:" >&2
         cat "$tmp/serve2.log" >&2
         exit 1
     fi
@@ -163,21 +153,21 @@ while [ $i -lt 100 ]; do
     sleep 0.1
 done
 [ -n "$addr2" ] || {
-    echo "serve-smoke: -front-library server never reported its address" >&2; exit 1; }
+    echo "serve-smoke: second server never reported its address" >&2; exit 1; }
 body='{"app": "pso", "budget": 10, "model_path": "pso.json"}'
 resp=$(curl -sf -X POST -H 'Content-Type: application/json' -d "$body" "http://$addr2/v1/dispatch")
 echo "$resp" | grep -q '"degraded":false' || {
-    echo "serve-smoke: -front-library dispatch degraded or failed: $resp" >&2; exit 1; }
+    echo "serve-smoke: second-server dispatch degraded or failed: $resp" >&2; exit 1; }
 [ "$(plan_of "$resp")" = "$plain_plan" ] || {
-    echo "serve-smoke: -front-library plan differs from the plain plan: $resp" >&2; exit 1; }
+    echo "serve-smoke: second-server plan differs from the first server's: $resp" >&2; exit 1; }
 kill -TERM "$pid2"
 if ! wait "$pid2"; then
-    echo "serve-smoke: -front-library server exited non-zero on SIGTERM" >&2
+    echo "serve-smoke: second server exited non-zero on SIGTERM" >&2
     cat "$tmp/serve2.log" >&2
     exit 1
 fi
 pid2=""
-echo "serve-smoke: front-library plans match the plain path"
+echo "serve-smoke: persisted-library plans match across servers"
 
 kill -TERM "$pid"
 if ! wait "$pid"; then
