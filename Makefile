@@ -38,8 +38,8 @@ shard-smoke:
 	sh scripts/shard-smoke.sh
 
 # pilot-demo replays the closed serving loop end to end: train a small
-# video-pipeline model, serve it, inject input drift through /v1/feedback
-# and watch detection -> shadow -> promotion -> rollback.
+# video-pipeline model, serve it, inject a phase shift through
+# /v1/feedback and watch drift -> retrain -> shadow -> promotion.
 pilot-demo:
 	go run ./cmd/opprox-pilot
 

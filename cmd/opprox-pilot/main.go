@@ -1,31 +1,22 @@
 // Command opprox-pilot is a self-contained closed-loop demo: it trains a
 // small model for the streaming video pipeline (the paper's FFmpeg
-// benchmark), starts an opprox-serve instance on it, then replays a
-// dispatch+feedback workload with injected input drift — realized QoS
-// systematically off the model's predictions, the situation a phase
-// model faces when production inputs wander away from the training
-// distribution.
+// benchmark), starts an opprox-serve instance on it, and replays a
+// dispatch+feedback workload in which a synthetic phase shift is
+// injected mid-stream — the last phase's realized behavior jumps, the
+// situation a phase model faces when production inputs wander away from
+// the training distribution.
 //
-// The timeline it prints is the whole lifecycle story: dispatches are
-// served with a deterministic dispatch ID and model version; drifted
-// feedback flips the model healthy -> drifting; the server recalibrates
-// into a shadow version and dark-launches it; once the shadow's realized
-// error beats the live version's it is auto-promoted (old version kept
-// for rollback); a final rollback restores the original in one step.
+// The timeline it prints is the server's one drift response: faithful
+// reports, then shifted ones that flip the model to drifting while the
+// proactive controller corrects budgets; POST /v1/retrain replays the
+// telemetry log — changepoint detection trims the pre-shift rows,
+// candidate models are fit and judged on a telemetry holdout — and the
+// winning candidate is dark-launched as a shadow and auto-promoted once
+// its realized error beats the live model's.
 //
 // Usage:
 //
-//	opprox-pilot [-budget 10] [-reports 8] [-drift 1.6] [-deg-drift 0]
-//	             [-models DIR] [-phases 2] [-retrain]
-//
-// With -retrain the demo exercises the online retraining pipeline
-// instead of the recalibration loop: the replay starts faithful to the
-// model, then a synthetic phase shift is injected mid-stream (the last
-// phase's realized behavior jumps), POST /v1/retrain replays the
-// telemetry log — changepoint detection trims the pre-shift rows,
-// candidate models are fit and judged on a telemetry holdout — and the
-// winning candidate is dark-launched and auto-promoted once its
-// realized error beats the live model's.
+//	opprox-pilot [-budget 10] [-drift 1.6] [-deg-drift 0] [-models DIR] [-phases 2]
 //
 // With -models unset everything runs in a temp directory that is removed
 // on exit; pass a directory to inspect the published model versions and
@@ -60,145 +51,15 @@ func main() {
 	log.SetPrefix("opprox-pilot: ")
 
 	budget := flag.Float64("budget", 10, "QoS-degradation budget per dispatch")
-	reports := flag.Int("reports", 8, "feedback reports to replay")
 	drift := flag.Float64("drift", 1.6, "injected drift: realized speedup = predicted * drift")
 	degDrift := flag.Float64("deg-drift", 0, "additional drift: realized degradation = predicted + deg-drift")
 	modelsDir := flag.String("models", "", "model store directory (default: temp dir, removed on exit)")
 	phases := flag.Int("phases", 2, "phases to train the demo model with")
-	retrain := flag.Bool("retrain", false, "run the online-retraining demo: synthetic phase shift -> retrain -> shadow -> auto-promote")
 	flag.Parse()
 
-	if *retrain {
-		if err := runRetrain(*budget, *drift, *degDrift, *modelsDir, *phases); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if err := run(*budget, *reports, *drift, *degDrift, *modelsDir, *phases); err != nil {
+	if err := run(*budget, *drift, *degDrift, *modelsDir, *phases); err != nil {
 		log.Fatal(err)
 	}
-}
-
-func run(budget float64, reports int, drift, degDrift float64, modelsDir string, phases int) error {
-	dir := modelsDir
-	if dir == "" {
-		var err error
-		dir, err = os.MkdirTemp("", "opprox-pilot-*")
-		if err != nil {
-			return err
-		}
-		defer os.RemoveAll(dir)
-	} else if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-
-	// Train a small model for the video pipeline and publish it into the
-	// store the way a trainer would.
-	app, modelName, store, err := trainAndPublish(dir, phases)
-	if err != nil {
-		return err
-	}
-
-	// Closed-loop serving with demo-tight thresholds: a handful of
-	// drifted reports is enough to detect, recalibrate and promote.
-	flog, err := feedback.OpenLog(filepath.Join(dir, "telemetry.jsonl"), false)
-	if err != nil {
-		return err
-	}
-	defer flog.Close()
-	srv := serve.New(serve.Options{
-		Store: store,
-		Drift: feedback.Options{
-			Window: 8, MinSamples: 4, MaxExceedFrac: 0.5,
-			CUSUMSlack: 0.02, CUSUMThreshold: 0.3, StaleAfter: 1000,
-		},
-		Lifecycle:   lifecycle.Options{ErrWindow: 8, MinShadowSamples: 4},
-		FeedbackLog: flog,
-	})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	httpSrv := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: 5 * time.Second}
-	go httpSrv.Serve(ln)
-	defer httpSrv.Close()
-	base := "http://" + ln.Addr().String()
-	fmt.Printf("serving on %s (store: %s)\n\n", base, dir)
-
-	params := apps.DefaultParams(app)
-	dispatchBody, err := json.Marshal(map[string]any{
-		"app": app.Name(), "budget": budget, "params": params, "model_path": modelName,
-	})
-	if err != nil {
-		return err
-	}
-
-	// Replay: dispatch, then report realized QoS with the injected drift.
-	var d dispatchView
-	if err := postInto(base+"/v1/dispatch", string(dispatchBody), &d); err != nil {
-		return err
-	}
-	v0 := d.ModelVersion
-	fmt.Printf("dispatch: id=%s version=%s predicted %.3fx speedup, %.2f degradation\n",
-		d.DispatchID, d.ModelVersion, d.Speedup, d.Degradation)
-	fmt.Printf("injected drift: realized speedup = predicted * %.2f, degradation = predicted + %.2f\n\n",
-		drift, degDrift)
-
-	promotedAt := -1
-	for i := 1; i <= reports; i++ {
-		fb := feedbackBody(&d, drift, degDrift)
-		var fr feedbackView
-		if err := postInto(base+"/v1/feedback", fb, &fr); err != nil {
-			return err
-		}
-		line := fmt.Sprintf("report %d: state=%s", i, fr.State)
-		if fr.ShadowCreated != "" {
-			line += fmt.Sprintf("  -> shadow %s dark-launched (recalibrated from feedback medians)", fr.ShadowCreated)
-		}
-		if fr.Promoted {
-			line += "  -> shadow PROMOTED (realized-error window beat live)"
-			promotedAt = i
-		}
-		if fr.Status == "stale_version" {
-			line += "  (stale: dispatch predates the promoted version)"
-		}
-		fmt.Println(line)
-		if fr.Promoted {
-			break
-		}
-		// Keep the dark launch honest: dispatches continue while the
-		// shadow is evaluated.
-		if err := postInto(base+"/v1/dispatch", string(dispatchBody), &d); err != nil {
-			return err
-		}
-	}
-	if promotedAt < 0 {
-		fmt.Printf("\nno promotion after %d reports — raise -drift or -reports\n", reports)
-		return nil
-	}
-
-	fmt.Println()
-	if err := printModels(base); err != nil {
-		return err
-	}
-
-	// The promoted model now serves new dispatches under its version.
-	if err := postInto(base+"/v1/dispatch", string(dispatchBody), &d); err != nil {
-		return err
-	}
-	fmt.Printf("\ndispatch on promoted model: id=%s version=%s predicted %.3fx speedup, %.2f degradation\n",
-		d.DispatchID, d.ModelVersion, d.Speedup, d.Degradation)
-
-	// And the previous version is one step away.
-	var lr struct {
-		LiveVersion     string `json:"live_version"`
-		PreviousVersion string `json:"previous_version"`
-	}
-	if err := postInto(base+"/v1/rollback", fmt.Sprintf(`{"model": %q}`, modelName), &lr); err != nil {
-		return err
-	}
-	fmt.Printf("rollback: live=%s previous=%s (original %s restored)\n", lr.LiveVersion, lr.PreviousVersion, v0)
-	return nil
 }
 
 // trainAndPublish trains the demo model for the video pipeline and
@@ -227,11 +88,11 @@ func trainAndPublish(dir string, phases int) (apps.App, string, serve.FileStore,
 	return app, modelName, store, nil
 }
 
-// runRetrain is the -retrain scenario: faithful telemetry, then a
-// synthetic phase shift injected mid-stream, then the full retrain
-// pipeline — extract, changepoint re-detection, candidate fits, holdout
-// selection, dark launch — followed by feedback-driven auto-promotion.
-func runRetrain(budget, drift, degDrift float64, modelsDir string, phases int) error {
+// run is the demo: faithful telemetry, then a synthetic phase shift
+// injected mid-stream, then the full retrain pipeline — extract,
+// changepoint re-detection, candidate fits, holdout selection, dark
+// launch — followed by feedback-driven auto-promotion.
+func run(budget, drift, degDrift float64, modelsDir string, phases int) error {
 	dir := modelsDir
 	if dir == "" {
 		var err error
@@ -262,14 +123,11 @@ func runRetrain(budget, drift, degDrift float64, modelsDir string, phases int) e
 			Window: 8, MinSamples: 4, MaxExceedFrac: 0.5,
 			CUSUMSlack: 0.02, CUSUMThreshold: 0.3, StaleAfter: 1000,
 		},
-		Lifecycle: lifecycle.Options{ErrWindow: 8, MinShadowSamples: 4},
-		// Retraining is the drift response under demonstration; the
-		// recalibrated-shadow path stays out of its way.
-		FeedbackLog:            flog,
-		DisableAutoRecalibrate: true,
-		Retrain:                true,
-		RetrainOpts:            retrain.Options{MinSamples: 16},
-		Proactive:              true,
+		Lifecycle:   lifecycle.Options{ErrWindow: 8, MinShadowSamples: 4},
+		FeedbackLog: flog,
+		Retrain:     true,
+		RetrainOpts: retrain.Options{MinSamples: 16},
+		Proactive:   true,
 	})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -311,11 +169,11 @@ func runRetrain(budget, drift, degDrift float64, modelsDir string, phases int) e
 		if v0 == "" {
 			v0 = d.ModelVersion
 		}
-		fb := feedbackBody(&d, 1, 0)
+		shift := -1 // faithful: no phase shifted
 		if i > clean {
-			fb = phaseShiftBody(&d, shiftPhase, drift, degDrift)
+			shift = shiftPhase
 		}
-		if err := postInto(base+"/v1/feedback", fb, &fr); err != nil {
+		if err := postInto(base+"/v1/feedback", phaseShiftBody(&d, shift, drift, degDrift), &fr); err != nil {
 			return err
 		}
 	}
@@ -391,7 +249,8 @@ func fmtBody(build func(float64) (string, error), b float64) string {
 }
 
 // phaseShiftBody reports realized values faithful to the model on every
-// phase except shifted, which drifts — the synthetic phase shift.
+// phase except shifted, which drifts — the synthetic phase shift (a
+// negative shifted reports every phase faithfully).
 func phaseShiftBody(d *dispatchView, shifted int, drift, degDrift float64) string {
 	var obs []string
 	for ph := 0; ph < d.Phases; ph++ {
@@ -444,24 +303,8 @@ type dispatchView struct {
 }
 
 type feedbackView struct {
-	Status        string `json:"status"`
-	State         string `json:"state"`
-	ShadowCreated string `json:"shadow_created"`
-	Promoted      bool   `json:"promoted"`
-}
-
-// feedbackBody reports drifted realized values for every served phase:
-// the model's own per-phase predictions, scaled by the injected drift.
-func feedbackBody(d *dispatchView, drift, degDrift float64) string {
-	var obs []string
-	for ph := 0; ph < d.Phases; ph++ {
-		pred := d.PhasePreds[ph]
-		obs = append(obs, fmt.Sprintf(
-			`{"phase": %d, "realized_speedup": %g, "realized_degradation": %g}`,
-			ph, pred.Speedup*drift, pred.Degradation+degDrift))
-	}
-	return fmt.Sprintf(`{"dispatch_id": %q, "observations": [%s]}`,
-		d.DispatchID, strings.Join(obs, ","))
+	State    string `json:"state"`
+	Promoted bool   `json:"promoted"`
 }
 
 func postInto(url, body string, out any) error {

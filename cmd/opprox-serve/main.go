@@ -30,23 +30,24 @@
 //
 // The closed loop: each dispatch response carries a "dispatch_id";
 // clients report realized per-phase QoS back on /v1/feedback. A drift
-// detector (band exceedances + CUSUM, see -drift-* flags) flips models
-// healthy -> drifting -> stale; on drifting the server recalibrates into
-// a shadow version served in dark-launch mode and auto-promotes it when
-// its realized error beats the live version's. Shadow and promoted
-// versions are persisted into -models atomically; -feedback-log appends
-// every accepted observation as JSONL (rotated into numbered segments
-// when -feedback-log-max-bytes is set).
+// detector (band exceedances + CUSUM) flips models healthy -> drifting
+// -> stale; -feedback-log appends every accepted observation as JSONL
+// (rotated into numbered segments when -feedback-log-max-bytes is set).
 //
-// Online retraining (-retrain): the telemetry log is replayed into
-// training matrices, phase boundaries are re-detected from realized
-// behavior, and candidate models (recalibrate / refit / pooled refit)
-// are fit and judged on a held-out telemetry suffix; the winner is
-// dark-launched as a shadow through the same promote/rollback
-// machinery. Triggered by POST /v1/retrain or automatically when a
-// model goes stale. -proactive adds the Capri-style controller: between
-// retrains, observed degradation residuals tighten the served budget
-// open-loop (see X-Opprox-Correction on corrected responses).
+// Online retraining (-retrain, the one drift response): the telemetry
+// log is replayed into training matrices, phase boundaries are
+// re-detected from realized behavior, and candidate models (recalibrate
+// / refit / pooled refit) are fit and judged on a held-out telemetry
+// suffix; the winner is dark-launched as a shadow. Triggered by POST
+// /v1/retrain or automatically when a model goes stale. A shadow is
+// never planned on the dispatch path: feedback reports score it against
+// the live version, and it is auto-promoted (-auto-promote) once its
+// realized error beats the live version's. Shadow and promoted versions
+// are persisted into -models atomically. -proactive adds the Capri-style
+// controller: between retrains, observed degradation residuals tighten
+// the served budget open-loop (see X-Opprox-Correction on corrected
+// responses). The loop's thresholds are serve.Options fields with
+// tested defaults; they are not flags.
 //
 // Serving at scale: repeat dispatches are answered from a bounded
 // dispatch-plan cache (-plan-cache) and concurrent cold dispatches are
@@ -86,7 +87,6 @@ import (
 	"opprox/internal/lifecycle"
 	"opprox/internal/obs"
 	"opprox/internal/qos"
-	"opprox/internal/retrain"
 	"opprox/internal/serve"
 )
 
@@ -119,16 +119,7 @@ func main() {
 	metrics := flag.String("metrics", "", "write a JSON metrics snapshot to this file on shutdown")
 	feedbackLog := flag.String("feedback-log", "", "append accepted feedback observations to this JSONL file (fsync per entry)")
 	feedbackLogMaxBytes := flag.Int64("feedback-log-max-bytes", 0, "rotate the feedback log into numbered segments past this size (0: never)")
-	driftWindow := flag.Int("drift-window", 0, "per-phase feedback window for drift detection (0: default)")
-	driftMinSamples := flag.Int("drift-min-samples", 0, "samples required before exceedance drift can fire (0: default)")
-	driftExceed := flag.Float64("drift-exceed", 0, "band-exceedance fraction that flags drift (0: default)")
-	cusumSlack := flag.Float64("cusum-slack", 0, "CUSUM slack on log-residuals (0: default)")
-	cusumThreshold := flag.Float64("cusum-threshold", 0, "CUSUM alarm threshold (0: default)")
-	staleAfter := flag.Int("stale-after", 0, "drifting reports before a model is declared stale (0: default)")
-	errWindow := flag.Int("err-window", 0, "realized-error window for the live-vs-shadow comparison (0: default)")
-	shadowSamples := flag.Int("shadow-samples", 0, "error samples required before auto-promotion (0: default)")
 	autoPromote := flag.Bool("auto-promote", true, "promote a shadow automatically once it beats the live version")
-	autoRecal := flag.Bool("auto-recalibrate", true, "dark-launch a recalibrated shadow when a model drifts")
 	planCache := flag.Int("plan-cache", 0, "dispatch-plan cache capacity (0: default, negative: disable)")
 	shardSelf := flag.String("shard-self", "", "this replica's name in a sharded fleet (requires -shard-replicas)")
 	shardReplicas := flag.String("shard-replicas", "", "comma-separated name=url replica set, including self (e.g. a=http://127.0.0.1:7077,b=http://127.0.0.1:7078)")
@@ -145,13 +136,7 @@ func main() {
 	ladderDwell := flag.Int("ladder-dwell", 0, "consecutive calm pressure updates before the ladder steps down (0: default)")
 	forceLadderStep := flag.Int("force-ladder-step", -1, "pin the degradation ladder to a step at startup (-1: load-controlled)")
 	retrainOn := flag.Bool("retrain", false, "enable online retraining from the feedback log (requires -feedback-log)")
-	retrainMinSamples := flag.Int("retrain-min-samples", 0, "telemetry rows a retrain needs before it runs (0: default)")
-	retrainMaxRows := flag.Int("retrain-max-rows", 0, "most recent telemetry rows a retrain extracts (0: default)")
-	redetectThreshold := flag.Float64("phase-redetect-threshold", 0, "phase re-detection divergence threshold on the log scales (0: default)")
-	retrainSeed := flag.Int64("retrain-seed", 0, "seed for retrain CV fold shuffles (0: default)")
 	proactive := flag.Bool("proactive", false, "enable the proactive controller: correct served budgets from observed degradation residuals")
-	correctionQuantum := flag.Float64("correction-quantum", 0, "grid the proactive budget correction is quantized onto (0: default)")
-	correctionMax := flag.Float64("correction-max", 0, "clamp on the proactive budget correction, log1p scale (0: default)")
 	flag.Parse()
 
 	var flog *feedback.Log
@@ -194,36 +179,15 @@ func main() {
 			Retries:   *retries,
 			RetryBase: *retryBase,
 		},
-		Drift: feedback.Options{
-			Window:         *driftWindow,
-			MinSamples:     *driftMinSamples,
-			MaxExceedFrac:  *driftExceed,
-			CUSUMSlack:     *cusumSlack,
-			CUSUMThreshold: *cusumThreshold,
-			StaleAfter:     *staleAfter,
-		},
-		Lifecycle: lifecycle.Options{
-			ErrWindow:          *errWindow,
-			MinShadowSamples:   *shadowSamples,
-			DisableAutoPromote: !*autoPromote,
-		},
-		FeedbackLog:            flog,
-		DisableAutoRecalibrate: !*autoRecal,
-		PlanCacheCap:           *planCache,
-		Admission:              adm,
-		MaxInFlight:            *maxInFlight,
-		Ladder:                 qos.LadderOptions{Dwell: *ladderDwell},
-		CoarseQuantum:          *coarseQuantum,
-		Retrain:                *retrainOn,
-		RetrainOpts: retrain.Options{
-			MinSamples:        *retrainMinSamples,
-			MaxRows:           *retrainMaxRows,
-			RedetectThreshold: *redetectThreshold,
-			Seed:              *retrainSeed,
-		},
-		Proactive:         *proactive,
-		CorrectionQuantum: *correctionQuantum,
-		CorrectionMax:     *correctionMax,
+		Lifecycle:     lifecycle.Options{DisableAutoPromote: !*autoPromote},
+		FeedbackLog:   flog,
+		PlanCacheCap:  *planCache,
+		Admission:     adm,
+		MaxInFlight:   *maxInFlight,
+		Ladder:        qos.LadderOptions{Dwell: *ladderDwell},
+		CoarseQuantum: *coarseQuantum,
+		Retrain:       *retrainOn,
+		Proactive:     *proactive,
 	})
 	if *forceLadderStep >= 0 {
 		if err := srv.ForceLadderStep(*forceLadderStep); err != nil {

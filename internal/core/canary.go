@@ -93,10 +93,10 @@ func (t *Trained) installCalibration(shift *canaryShift) error {
 
 // SetCalibration installs per-phase log-scale correction shifts directly —
 // the same correction CalibrateCanary measures with probe runs, for
-// callers that obtain the residuals elsewhere. The serving feedback loop
-// uses it to recalibrate a drifting model from realized production
-// feedback instead of fresh probe runs: the median log-residual of the
-// feedback window is exactly the canary shift, measured for free.
+// callers that obtain the residuals elsewhere. The retrainer's
+// recalibrate candidate uses it to fold the median log-residual of
+// realized production telemetry into the calibration — exactly the
+// canary shift, measured for free instead of with fresh probe runs.
 func (t *Trained) SetCalibration(spd, deg []float64) error {
 	if len(spd) != t.Phases || len(deg) != t.Phases {
 		return fmt.Errorf("core: calibration shifts for %d/%d phases, model has %d",

@@ -16,11 +16,12 @@ const (
 	Healthy State = iota
 	// Drifting: a phase's realized values left the bands persistently
 	// (exceedance fraction) or accumulated a systematic bias (CUSUM).
-	// The lifecycle layer reacts by building a recalibrated shadow.
+	// The serving layer's proactive controller corrects budgets from
+	// the same evidence.
 	Drifting
 	// Stale: the drift persisted beyond Options.StaleAfter further
 	// observations without recovery — the model should not be trusted
-	// until replaced. Terminal until Reset.
+	// until replaced; the serving layer retrains it. Terminal until Reset.
 	Stale
 )
 
@@ -257,9 +258,8 @@ func (d *Detector) State(model string) State {
 }
 
 // Medians returns the per-phase median residuals over the current
-// windows, sized to phases — exactly the additive correction the canary
-// calibration path applies, measured from production feedback instead of
-// probe runs (core.SetCalibration consumes it).
+// windows, sized to phases — the evidence the proactive controller
+// turns into a budget correction.
 func (d *Detector) Medians(model string, phases int) (spd, deg []float64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()

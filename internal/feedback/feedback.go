@@ -8,8 +8,8 @@
 //
 // The package is deliberately free of wall-clock reads and map-order
 // effects in anything that feeds results: for a fixed sequence of
-// feedback reports the drift-state transitions, the recalibration
-// medians and the telemetry log bytes are identical across runs. That is
+// feedback reports the drift-state transitions, the residual medians
+// and the telemetry log bytes are identical across runs. That is
 // what lets the serving layer promise byte-deterministic closed-loop
 // behavior end to end (DESIGN.md §11).
 package feedback

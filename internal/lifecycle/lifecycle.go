@@ -1,12 +1,13 @@
 // Package lifecycle is the model-lifecycle half of the closed serving
 // loop: a versioned registry layered on the serving layer's model cache.
-// Every model file gets a content-hash version; when the drift detector
-// flags the live version, the manager builds a recalibrated **shadow**
-// version (the canary-calibration correction, measured from production
-// feedback instead of probe runs), dark-launches it — both versions are
-// evaluated per dispatch, only the live one is returned, disagreement is
-// recorded — and promotes it once its realized-error window beats the
-// live version's, with one-step rollback.
+// Every model file gets a content-hash version. The only source of a
+// **shadow** version is the retrain pipeline (internal/retrain), which
+// hands a fully built candidate to CreateShadowFromBytes. A shadow is
+// dark-launched in the feedback sense only: dispatches are planned and
+// served by the live version alone, while every feedback report scores
+// both versions' predictions against the realized values. The shadow is
+// promoted once its realized-error window beats the live version's, with
+// one-step rollback.
 //
 // The package does not import internal/serve: it talks to the serving
 // layer through two small interfaces (Registry, Publisher) that
@@ -14,11 +15,11 @@
 // edge runs serve -> lifecycle and the HTTP wiring stays in serve.
 //
 // Every decision here is a pure function of the dispatch + feedback
-// sequence: versions are content hashes, promoted bytes are the
-// deterministic serialized form of the recalibrated models, and the
-// error windows are fixed-size rings reduced in index order. A promoted
-// model file therefore reproduces byte-identical dispatches on a fresh
-// server (the closed-loop e2e test pins this).
+// sequence: versions are content hashes, promoted bytes are exactly the
+// candidate bytes the retrainer built, and the error windows are
+// fixed-size rings reduced in index order. A promoted model file
+// therefore reproduces byte-identical dispatches on a fresh server (the
+// closed-loop e2e test pins this).
 package lifecycle
 
 import (
@@ -149,7 +150,6 @@ type shadowState struct {
 	tr      *core.Trained
 	raw     []byte
 
-	disagree  int64
 	liveErr   errWindow
 	shadowErr errWindow
 }
@@ -244,117 +244,14 @@ func (m *Manager) LiveVersion(name string) (string, bool) {
 	return st.liveVersion, true
 }
 
-// Shadow returns the dark-launched candidate for a model, if any.
-func (m *Manager) Shadow(name string) (*core.Trained, string, bool) {
-	st, ok := m.peek(name)
-	if !ok {
-		return nil, "", false
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.shadow == nil {
-		return nil, "", false
-	}
-	return st.shadow.tr, st.shadow.version, true
-}
-
-// NoteDisagreement records one dispatch where the shadow's schedule
-// differed from the live one — the dark-launch signal operators watch
-// before trusting a promotion.
-func (m *Manager) NoteDisagreement(name string) {
-	st, ok := m.peek(name)
-	if !ok {
-		return
-	}
-	st.mu.Lock()
-	if st.shadow != nil {
-		st.shadow.disagree++
-	}
-	st.mu.Unlock()
-	obs.Inc("lifecycle.shadow.disagree")
-}
-
-// CreateShadow builds, persists and dark-launches a recalibrated shadow
-// version of the live model: the per-phase additive shifts (typically
-// the drift detector's median log-residuals) are folded into the live
-// calibration exactly as CalibrateCanary would have installed them. A
-// shadow already in flight is kept — repeated drift signals do not churn
-// the candidate under evaluation.
-func (m *Manager) CreateShadow(name string, addSpd, addDeg []float64) (string, error) {
-	st, ok := m.peek(name)
-	if !ok {
-		return "", fmt.Errorf("%w: %s", ErrUnknownModel, name)
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.shadow != nil {
-		return st.shadow.version, nil
-	}
-	zero := true
-	for _, v := range addSpd {
-		zero = zero && v == 0
-	}
-	for _, v := range addDeg {
-		zero = zero && v == 0
-	}
-	if zero {
-		// Behaviorally identical to live (even where the bytes would
-		// differ, e.g. materializing an explicit zero calibration block).
-		return "", fmt.Errorf("lifecycle: recalibration is a no-op for %s", name)
-	}
-
-	// Clone via the deterministic serialized form, then fold the new
-	// correction into whatever calibration the live model already has.
-	clone, err := core.LoadTrained(bytes.NewReader(st.liveRaw))
-	if err != nil {
-		return "", fmt.Errorf("lifecycle: cloning live model: %w", err)
-	}
-	spd, deg, ok := clone.CalibrationShifts()
-	if !ok {
-		spd = make([]float64, clone.Phases)
-		deg = make([]float64, clone.Phases)
-	}
-	if len(addSpd) != clone.Phases || len(addDeg) != clone.Phases {
-		return "", fmt.Errorf("lifecycle: %d/%d correction phases for a %d-phase model",
-			len(addSpd), len(addDeg), clone.Phases)
-	}
-	for ph := 0; ph < clone.Phases; ph++ {
-		spd[ph] += addSpd[ph]
-		deg[ph] += addDeg[ph]
-	}
-	if err := clone.SetCalibration(spd, deg); err != nil {
-		return "", fmt.Errorf("lifecycle: recalibrating shadow: %w", err)
-	}
-	var out bytes.Buffer
-	if err := clone.Save(&out); err != nil {
-		return "", fmt.Errorf("lifecycle: serializing shadow: %w", err)
-	}
-	raw := out.Bytes()
-	ver := Version(raw)
-	if ver == st.liveVersion {
-		// A zero correction reproduces the live bytes; nothing to launch.
-		return "", fmt.Errorf("lifecycle: recalibration is a no-op for %s", name)
-	}
-	if m.pub != nil {
-		if err := m.pub.Put(VersionedName(name, ver), raw); err != nil {
-			return "", fmt.Errorf("lifecycle: persisting shadow: %w", err)
-		}
-	}
-	st.shadow = &shadowState{version: ver, tr: clone, raw: raw}
-	obs.Inc("lifecycle.shadow.created")
-	obs.LogEvent("lifecycle.shadow", "%s: shadow %s dark-launched next to live %s", name, ver, st.liveVersion)
-	return ver, nil
-}
-
 // CreateShadowFromBytes dark-launches a fully built candidate model —
-// the retrain pipeline's entry point: the caller (a retrain driver)
-// hands over the serialized model and the manager validates, persists
-// and installs it as the shadow. Unlike CreateShadow, an existing
-// shadow is REPLACED (a retrained candidate supersedes a recalibrated
-// one — it was fitted on strictly more information), except when the
-// bytes hash to the version already shadowing, which keeps the
-// in-flight evaluation windows. Candidates identical to the live
-// version are rejected.
+// the retrain pipeline's entry point and the only way a shadow is made:
+// the caller (a retrain driver) hands over the serialized model and the
+// manager validates, persists and installs it as the shadow. An existing
+// shadow is replaced (the newer candidate was fitted on strictly more
+// telemetry), except when the bytes hash to the version already
+// shadowing, which keeps the in-flight evaluation windows. Candidates
+// identical to the live version are rejected.
 func (m *Manager) CreateShadowFromBytes(name string, raw []byte) (string, error) {
 	st, ok := m.peek(name)
 	if !ok {
@@ -582,8 +479,6 @@ type ShadowStatus struct {
 	// of the live and shadow predictions over the comparison window.
 	LiveWindowErr   float64 `json:"live_window_err"`
 	ShadowWindowErr float64 `json:"shadow_window_err"`
-	// Disagreements counts dispatches whose shadow schedule differed.
-	Disagreements int64 `json:"disagreements"`
 }
 
 // ModelStatus is one model's lifecycle view (GET /v1/models). Health is
@@ -619,7 +514,6 @@ func (m *Manager) Snapshot() []ModelStatus {
 				Samples:         sh.shadowErr.filled,
 				LiveWindowErr:   sh.liveErr.mean(),
 				ShadowWindowErr: sh.shadowErr.mean(),
-				Disagreements:   sh.disagree,
 			}
 		}
 		st.mu.Unlock()

@@ -133,11 +133,8 @@ func TestLiveResolvesAndVersions(t *testing.T) {
 	if _, _, err := m.Live(context.Background(), "missing.json"); err == nil {
 		t.Fatal("missing model resolved")
 	}
-	if _, _, ok := m.Shadow("missing.json"); ok {
-		t.Fatal("Shadow invented state for an unresolved model")
-	}
-	if _, err := m.CreateShadow("missing.json", nil, nil); !errors.Is(err, ErrUnknownModel) {
-		t.Fatalf("CreateShadow err = %v, want ErrUnknownModel", err)
+	if _, err := m.CreateShadowFromBytes("missing.json", modelJSON(t)); !errors.Is(err, ErrUnknownModel) {
+		t.Fatalf("CreateShadowFromBytes err = %v, want ErrUnknownModel", err)
 	}
 	if err := m.Promote("missing.json"); !errors.Is(err, ErrUnknownModel) {
 		t.Fatalf("Promote err = %v, want ErrUnknownModel", err)
@@ -149,6 +146,47 @@ func TestLiveResolvesAndVersions(t *testing.T) {
 	if _, _, err := m.Live(context.Background(), "pso.json"); err != nil {
 		t.Fatalf("healthy model unresolvable after a failed neighbor: %v", err)
 	}
+}
+
+// recalibrated builds the live model's bytes with per-phase shifts folded
+// into its calibration — a deterministic candidate of the kind the
+// retrainer's recalibrate candidate produces.
+func recalibrated(t *testing.T, m *Manager, name string, spd, deg []float64) []byte {
+	t.Helper()
+	raw, _, ok := m.LiveRaw(name)
+	if !ok {
+		t.Fatalf("model %s not resolved", name)
+	}
+	clone, err := core.LoadTrained(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs, cd, ok := clone.CalibrationShifts()
+	if !ok {
+		cs, cd = make([]float64, clone.Phases), make([]float64, clone.Phases)
+	}
+	for ph := range cs {
+		cs[ph] += spd[ph]
+		cd[ph] += deg[ph]
+	}
+	if err := clone.SetCalibration(cs, cd); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := clone.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// shadowOf dark-launches a recalibrated candidate and returns its version.
+func shadowOf(t *testing.T, m *Manager, name string, spd, deg []float64) string {
+	t.Helper()
+	ver, err := m.CreateShadowFromBytes(name, recalibrated(t, m, name, spd, deg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ver
 }
 
 func shifts(phases int, v float64) ([]float64, []float64) {
@@ -168,8 +206,20 @@ func TestCreateShadowPromoteRollback(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	if err := m.Rollback("pso.json"); !errors.Is(err, ErrNoPrevious) {
+		t.Fatalf("rollback err = %v, want ErrNoPrevious", err)
+	}
+	// Candidates identical to live, or not a model at all, are rejected.
+	if _, err := m.CreateShadowFromBytes("pso.json", modelJSON(t)); !errors.Is(err, ErrIdenticalToLive) {
+		t.Fatalf("identical candidate err = %v, want ErrIdenticalToLive", err)
+	}
+	if _, err := m.CreateShadowFromBytes("pso.json", []byte("{}")); err == nil {
+		t.Fatal("invalid candidate bytes accepted")
+	}
+
 	spd, deg := shifts(2, 0.05)
-	shVer, err := m.CreateShadow("pso.json", spd, deg)
+	cand := recalibrated(t, m, "pso.json", spd, deg)
+	shVer, err := m.CreateShadowFromBytes("pso.json", cand)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,14 +229,13 @@ func TestCreateShadowPromoteRollback(t *testing.T) {
 	if _, ok := pub.get(VersionedName("pso.json", shVer)); !ok {
 		t.Fatal("shadow bytes not persisted under the versioned name")
 	}
-	// A second drift signal keeps the candidate under evaluation.
-	again, err := m.CreateShadow("pso.json", spd, deg)
+	// The same candidate again keeps the one under evaluation.
+	again, err := m.CreateShadowFromBytes("pso.json", cand)
 	if err != nil || again != shVer {
-		t.Fatalf("repeated CreateShadow = (%q, %v), want existing %q", again, err, shVer)
+		t.Fatalf("repeated CreateShadowFromBytes = (%q, %v), want existing %q", again, err, shVer)
 	}
-	shTr, gotVer, ok := m.Shadow("pso.json")
-	if !ok || gotVer != shVer || shTr == nil {
-		t.Fatalf("Shadow() = (%v, %q, %v)", shTr, gotVer, ok)
+	if snap := m.Snapshot(); snap[0].Shadow == nil || snap[0].Shadow.Version != shVer {
+		t.Fatalf("snapshot shadow = %+v, want %q", snap[0].Shadow, shVer)
 	}
 
 	// Promote: shadow becomes live, old live is kept for rollback, the
@@ -241,25 +290,6 @@ func TestCreateShadowPromoteRollback(t *testing.T) {
 	}
 }
 
-func TestCreateShadowRejectsBadCorrections(t *testing.T) {
-	m, _, _ := newTestManager(t, Options{})
-	if _, _, err := m.Live(context.Background(), "pso.json"); err != nil {
-		t.Fatal(err)
-	}
-	// Zero correction reproduces the live bytes: nothing to dark-launch.
-	if _, err := m.CreateShadow("pso.json", []float64{0, 0}, []float64{0, 0}); err == nil {
-		t.Fatal("no-op recalibration accepted")
-	}
-	// Phase-count mismatch.
-	if _, err := m.CreateShadow("pso.json", []float64{0.1}, []float64{0.1}); err == nil {
-		t.Fatal("phase-count mismatch accepted")
-	}
-	// Rollback with no previous version.
-	if err := m.Rollback("pso.json"); !errors.Is(err, ErrNoPrevious) {
-		t.Fatalf("rollback err = %v, want ErrNoPrevious", err)
-	}
-}
-
 // driftedRecord builds a DispatchRecord for the live model plus feedback
 // observations whose realized values sit exactly `shift` above the live
 // raw predictions — the world the shadow's calibration was built for.
@@ -300,14 +330,10 @@ func TestFeedbackAutoPromote(t *testing.T) {
 
 	// The shadow carries exactly the correction the drifted world needs,
 	// so its realized error is ~0 while the live error is ~shift.
-	spd := []float64{shift, shift}
-	deg := []float64{shift, shift}
-	shVer, err := m.CreateShadow("pso.json", spd, deg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	shVer := shadowOf(t, m, "pso.json", []float64{shift, shift}, []float64{shift, shift})
 
 	var promoted bool
+	var err error
 	for i := 0; i < 4 && !promoted; i++ {
 		promoted, err = m.Feedback(rec, obsv)
 		if err != nil {
@@ -328,9 +354,7 @@ func TestFeedbackRespectsGates(t *testing.T) {
 	m, _, _ := newTestManager(t, Options{ErrWindow: 8, MinShadowSamples: 2, DisableAutoPromote: true})
 	const shift = 0.2
 	rec, obsv := driftedRecord(t, m, shift, shift)
-	if _, err := m.CreateShadow("pso.json", []float64{shift, shift}, []float64{shift, shift}); err != nil {
-		t.Fatal(err)
-	}
+	shadowOf(t, m, "pso.json", []float64{shift, shift}, []float64{shift, shift})
 	for i := 0; i < 5; i++ {
 		if promoted, err := m.Feedback(rec, obsv); err != nil || promoted {
 			t.Fatalf("Feedback = (%v, %v) with auto-promote disabled", promoted, err)
@@ -344,17 +368,11 @@ func TestFeedbackRespectsGates(t *testing.T) {
 	if sh.Samples == 0 || sh.ShadowWindowErr >= sh.LiveWindowErr {
 		t.Fatalf("comparison windows wrong: %+v", sh)
 	}
-	m.NoteDisagreement("pso.json")
-	if got := m.Snapshot()[0].Shadow.Disagreements; got != 1 {
-		t.Fatalf("disagreements = %d, want 1", got)
-	}
 
 	// A worse shadow never auto-promotes.
 	m2, _, _ := newTestManager(t, Options{ErrWindow: 8, MinShadowSamples: 2})
 	rec2, obsv2 := driftedRecord(t, m2, 0, 0) // reality matches live exactly
-	if _, err := m2.CreateShadow("pso.json", []float64{0.3, 0.3}, []float64{0.3, 0.3}); err != nil {
-		t.Fatal(err)
-	}
+	shadowOf(t, m2, "pso.json", []float64{0.3, 0.3}, []float64{0.3, 0.3})
 	for i := 0; i < 6; i++ {
 		if promoted, err := m2.Feedback(rec2, obsv2); err != nil || promoted {
 			t.Fatalf("worse shadow auto-promoted (iteration %d)", i)
@@ -364,9 +382,7 @@ func TestFeedbackRespectsGates(t *testing.T) {
 	// Feedback for a stale version (dispatch predates a swap) is ignored.
 	m3, _, _ := newTestManager(t, Options{ErrWindow: 8, MinShadowSamples: 1})
 	rec3, obsv3 := driftedRecord(t, m3, shift, shift)
-	if _, err := m3.CreateShadow("pso.json", []float64{shift, shift}, []float64{shift, shift}); err != nil {
-		t.Fatal(err)
-	}
+	shadowOf(t, m3, "pso.json", []float64{shift, shift}, []float64{shift, shift})
 	rec3.Version = "stale0stale0"
 	for i := 0; i < 4; i++ {
 		if promoted, err := m3.Feedback(rec3, obsv3); err != nil || promoted {
@@ -451,12 +467,8 @@ func TestSnapshotDeterministic(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if _, err := m.CreateShadow("a.json", []float64{0.1, 0.1}, []float64{0.1, 0.1}); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := m.CreateShadow("b.json", []float64{0.2, 0.2}, []float64{0.2, 0.2}); err != nil {
-			t.Fatal(err)
-		}
+		shadowOf(t, m, "a.json", []float64{0.1, 0.1}, []float64{0.1, 0.1})
+		shadowOf(t, m, "b.json", []float64{0.2, 0.2}, []float64{0.2, 0.2})
 		if err := m.Promote("b.json"); err != nil {
 			t.Fatal(err)
 		}
@@ -476,9 +488,7 @@ func TestSnapshotDeterministic(t *testing.T) {
 func TestConcurrentLifecycle(t *testing.T) {
 	m, _, _ := newTestManager(t, Options{ErrWindow: 8, MinShadowSamples: 1 << 30})
 	rec, obsv := driftedRecord(t, m, 0.1, 0.1)
-	if _, err := m.CreateShadow("pso.json", []float64{0.1, 0.1}, []float64{0.1, 0.1}); err != nil {
-		t.Fatal(err)
-	}
+	shadowOf(t, m, "pso.json", []float64{0.1, 0.1}, []float64{0.1, 0.1})
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -489,12 +499,10 @@ func TestConcurrentLifecycle(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				m.Shadow("pso.json")
 				if _, err := m.Feedback(rec, obsv); err != nil {
 					t.Error(err)
 					return
 				}
-				m.NoteDisagreement("pso.json")
 				m.Snapshot()
 			}
 		}()

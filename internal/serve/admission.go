@@ -206,23 +206,6 @@ func quantizeBudget(budget, quantum float64) float64 {
 	return math.Floor(budget/quantum) * quantum
 }
 
-// overloadBody is the step-2 fallback: the all-accurate schedule with
-// a constant reason. Same shape as the model-unavailable degraded body
-// (OPPROX_PHASES=1 decodes to level 0 everywhere for any block set),
-// and like it never cached and never recorded for feedback.
-func overloadBody(dreq *DispatchRequest) ([]byte, error) {
-	return marshalBody(&DispatchResponse{
-		App:      dreq.App,
-		Budget:   dreq.Budget,
-		Phases:   1,
-		Levels:   [][]int{{}},
-		Env:      []string{"OPPROX_PHASES=1"},
-		Speedup:  1,
-		Degraded: true,
-		Reason:   overloadReason,
-	})
-}
-
 // admissionState is the body of GET/POST /v1/admission: the live
 // admission-control and ladder view of *this* replica (degradation is
 // per-replica load state; it deliberately survives promote/rollback,

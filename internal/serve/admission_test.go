@@ -417,12 +417,24 @@ func TestLadderStateSurvivesPromoteRollback(t *testing.T) {
 
 	forceStep(t, ts.URL, 2)
 
-	// Drifted feedback flips the model to drifting, dark-launches a
-	// shadow and auto-promotes it — all while the ladder is pinned.
-	for i := 0; i < 2; i++ {
-		if status, fb := postJSON(t, ts.URL+"/v1/feedback", driftedFeedback(resp1.DispatchID)); status != http.StatusOK {
+	// Drifted feedback flips the model to drifting, a shadow is
+	// dark-launched, and further feedback auto-promotes it — all while
+	// the ladder is pinned.
+	driftToShadow(t, srv, ts.URL, resp1.DispatchID)
+	promoted := false
+	for i := 0; i < 6 && !promoted; i++ {
+		status, fb := postJSON(t, ts.URL+"/v1/feedback", driftedFeedback(resp1.DispatchID))
+		if status != http.StatusOK {
 			t.Fatalf("feedback %d: %d %s", i, status, fb)
 		}
+		var fr feedbackResponse
+		if err := json.Unmarshal(fb, &fr); err != nil {
+			t.Fatal(err)
+		}
+		promoted = fr.Promoted
+	}
+	if !promoted {
+		t.Fatal("shadow never auto-promoted")
 	}
 	st := forceStep(t, ts.URL, 2) // re-read state (POST is idempotent here)
 	if st.ForcedStep != 2 || st.LadderStep != 2 {

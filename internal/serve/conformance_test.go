@@ -14,12 +14,15 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"opprox/internal/feedback"
 	"opprox/internal/obs"
+	"opprox/internal/retrain"
 	"opprox/internal/shard"
 )
 
@@ -162,22 +165,8 @@ func TestServingConformanceAcrossPromoteRollback(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Drive drifted feedback until a recalibrated shadow dark-launches.
-	shadowed := false
-	for i := 0; i < 50 && !shadowed; i++ {
-		status, body := postJSON(t, ts.URL+"/v1/feedback", driftedFeedback(dr.DispatchID))
-		if status != http.StatusOK {
-			t.Fatalf("feedback: %d %s", status, body)
-		}
-		var fr feedbackResponse
-		if err := json.Unmarshal(body, &fr); err != nil {
-			t.Fatal(err)
-		}
-		shadowed = fr.ShadowCreated != ""
-	}
-	if !shadowed {
-		t.Fatal("drift feedback never created a shadow")
-	}
+	// Drive drifted feedback, then dark-launch a recalibrated shadow.
+	driftToShadow(t, srv, ts.URL, dr.DispatchID)
 
 	if status, body := postJSON(t, ts.URL+"/v1/promote", `{"model": "pso.json"}`); status != http.StatusOK {
 		t.Fatalf("promote: %d %s", status, body)
@@ -215,6 +204,14 @@ func TestShardedPromoteRollbackCoherence(t *testing.T) {
 		o.Drift = po.Drift
 		o.Lifecycle = po.Lifecycle
 		o.Lifecycle.DisableAutoPromote = true
+		flog, err := feedback.OpenLog(filepath.Join(t.TempDir(), "telemetry.jsonl"), false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { flog.Close() })
+		o.FeedbackLog = flog
+		o.Retrain = true
+		o.RetrainOpts = retrain.Options{MinSamples: 8}
 	})
 
 	tbl, err := shard.New(names...)
@@ -238,9 +235,9 @@ func TestShardedPromoteRollbackCoherence(t *testing.T) {
 	}
 
 	// Feedback lands on the client replica, which holds no record for
-	// the dispatch (the owner served it) and must forward the report.
-	shadowed := false
-	for i := 0; i < 50 && !shadowed; i++ {
+	// the dispatch (the owner served it) and must forward the report:
+	// four drifted reports log 8 telemetry rows on the owner.
+	for i := 0; i < 4; i++ {
 		status, body := postJSON(t, urls[client]+"/v1/feedback", driftedFeedback(dr.DispatchID))
 		if status != http.StatusOK {
 			t.Fatalf("forwarded feedback: %d %s", status, body)
@@ -249,10 +246,15 @@ func TestShardedPromoteRollbackCoherence(t *testing.T) {
 		if err := json.Unmarshal(body, &fr); err != nil {
 			t.Fatal(err)
 		}
-		shadowed = fr.ShadowCreated != ""
+		if fr.State != "drifting" {
+			t.Fatalf("forwarded drifted report %d: %s", i, body)
+		}
 	}
-	if !shadowed {
-		t.Fatal("forwarded drift feedback never created a shadow on the owner")
+	// The retrain routes to the owner, replays its telemetry and
+	// dark-launches the winner there.
+	status, body := postJSON(t, urls[client]+"/v1/retrain", `{"model": "pso.json"}`)
+	if status != http.StatusOK || !strings.Contains(string(body), `"status":"shadow_created"`) {
+		t.Fatalf("proxied retrain: %d %s", status, body)
 	}
 
 	if status, body := postJSON(t, urls[client]+"/v1/promote", `{"model": "pso.json"}`); status != http.StatusOK {
@@ -277,8 +279,8 @@ func TestShardedPromoteRollbackCoherence(t *testing.T) {
 // TestServingConformanceFrontLibrary runs the byte-identity matrix's
 // cold, plan-cache-hit and promote -> rollback steps while watching the
 // Pareto-front plan library: every model file carries its library, so
-// no server load, lifecycle resolve, shadow clone or rollback may
-// rebuild one (the shadow's recalibration only re-prunes the phases its
+// no server load, lifecycle resolve, shadow install or rollback may
+// rebuild one (the recalibrated shadow only re-prunes the phases its
 // shifts moved), and the bodies stay byte-identical throughout.
 func TestServingConformanceFrontLibrary(t *testing.T) {
 	if testing.Short() {
@@ -305,21 +307,7 @@ func TestServingConformanceFrontLibrary(t *testing.T) {
 	if err := json.Unmarshal(original, &dr); err != nil {
 		t.Fatal(err)
 	}
-	shadowed := false
-	for i := 0; i < 50 && !shadowed; i++ {
-		status, body := postJSON(t, ts.URL+"/v1/feedback", driftedFeedback(dr.DispatchID))
-		if status != http.StatusOK {
-			t.Fatalf("feedback: %d %s", status, body)
-		}
-		var fr feedbackResponse
-		if err := json.Unmarshal(body, &fr); err != nil {
-			t.Fatal(err)
-		}
-		shadowed = fr.ShadowCreated != ""
-	}
-	if !shadowed {
-		t.Fatal("drift feedback never created a shadow")
-	}
+	driftToShadow(t, srv, ts.URL, dr.DispatchID)
 	if status, body := postJSON(t, ts.URL+"/v1/promote", `{"model": "pso.json"}`); status != http.StatusOK {
 		t.Fatalf("promote: %d %s", status, body)
 	}

@@ -13,7 +13,8 @@ import (
 // TestRecalibrationOverflowKeepsBodiesFinite is the regression for HTTP
 // 500 `json: unsupported value: +Inf` after repeated recalibrations.
 // Every promoted recalibration folds its shifts into the live
-// calibration, so the shifts accumulate without bound; once a phase's
+// calibration (as the retrainer's recalibrate candidate does), so the
+// shifts accumulate without bound; once a phase's
 // calibrated raw prediction passes ~709, its natural-scale value
 // (exp / expm1) overflows, and the dispatch body could not be encoded.
 // Each round here recalibrates by a seeded shift, promotes, then
@@ -40,9 +41,7 @@ func TestRecalibrationOverflowKeepsBodiesFinite(t *testing.T) {
 			spd[ph] = 50 + 100*rng.Float64()
 			deg[ph] = 50 + 100*rng.Float64()
 		}
-		if _, err := mgr.CreateShadow("pso.json", spd, deg); err != nil {
-			t.Fatal(err)
-		}
+		recalibratedShadow(t, srv, "pso.json", spd, deg)
 		if err := mgr.Promote("pso.json"); err != nil {
 			t.Fatal(err)
 		}

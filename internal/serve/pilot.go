@@ -1,10 +1,12 @@
 package serve
 
-// The closed-loop ("pilot") endpoints: feedback ingestion, drift-driven
-// recalibration, and the model-lifecycle API. The dispatch path records
+// The closed-loop ("pilot") endpoints: feedback ingestion, drift
+// detection, and the model-lifecycle API. The dispatch path records
 // what was served (pilot-side state lives on Server: records, detector,
 // flog, mgr); these handlers close the loop from realized QoS back to
-// the models.
+// the models. The loop has one drift response: a stale model is
+// retrained (retrain.go), and between retrains the proactive controller
+// corrects budgets (controller.go).
 //
 // Determinism contract: for a fixed dispatch + feedback sequence the
 // drift states, transitions, shadow versions and every response body are
@@ -21,10 +23,8 @@ import (
 	"io"
 	"net/http"
 
-	"opprox/internal/approx"
 	"opprox/internal/core"
 	"opprox/internal/feedback"
-	"opprox/internal/launch"
 	"opprox/internal/lifecycle"
 	"opprox/internal/obs"
 )
@@ -66,42 +66,6 @@ func paramsCanonical(dreq *DispatchRequest) map[string]any {
 	return m
 }
 
-// evalShadow dark-launches the shadow version against a live dispatch:
-// the shadow plans the same request, the schedules are compared, and a
-// disagreement is recorded — but only the live schedule was returned.
-func (s *Server) evalShadow(dreq *DispatchRequest, liveLevels [][]int) {
-	sh, _, ok := s.mgr.Shadow(dreq.ModelPath)
-	if !ok {
-		return
-	}
-	plan, err := launch.DispatchTrained(&dreq.JobConfig, sh)
-	if err != nil {
-		obs.Inc("serve.shadow.error")
-		return
-	}
-	obs.Inc("serve.shadow.evaluated")
-	if !levelsEqual(liveLevels, plan.Schedule.Levels) {
-		s.mgr.NoteDisagreement(dreq.ModelPath)
-	}
-}
-
-func levelsEqual(a [][]int, b []approx.Config) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for ph := range a {
-		if len(a[ph]) != len(b[ph]) {
-			return false
-		}
-		for i := range a[ph] {
-			if a[ph][i] != b[ph][i] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // feedbackResponse is the body of a successful POST /v1/feedback.
 type feedbackResponse struct {
 	// Status is "ok", or "stale_version" when the dispatch predates the
@@ -110,9 +74,6 @@ type feedbackResponse struct {
 	Model  string `json:"model"`
 	// State is the model's drift state after this report.
 	State string `json:"state"`
-	// ShadowCreated is the version of a shadow dark-launched in response
-	// to this report flipping the model to drifting.
-	ShadowCreated string `json:"shadow_created,omitempty"`
 	// Promoted reports that this feedback completed the evidence for an
 	// automatic shadow promotion.
 	Promoted bool `json:"promoted,omitempty"`
@@ -192,24 +153,9 @@ func (s *Server) handleFeedback(w http.ResponseWriter, req *http.Request) {
 	}
 	for _, tr := range transitions {
 		if tr.To == feedback.Stale {
-			// Calibration stopped tracking reality: escalate from the drift
-			// response to a full retrain (retrain.go).
+			// Calibration stopped tracking reality: retrain (retrain.go).
 			resp.RetrainStarted = s.maybeRetrain(rec.Model)
 		}
-		if tr.To != feedback.Drifting || !s.autoRecal {
-			continue
-		}
-		// Drift response: fold the observed median log-residuals into the
-		// calibration — the canary correction, measured from production
-		// feedback instead of probe runs — and dark-launch the result.
-		spd, deg := s.detector.Medians(rec.Model, rec.Phases)
-		ver, err := s.mgr.CreateShadow(rec.Model, spd, deg)
-		if err != nil {
-			obs.Inc("serve.shadow.create_failed")
-			obs.LogEvent("serve.shadow", "%s: drift response failed: %v", rec.Model, err)
-			continue
-		}
-		resp.ShadowCreated = ver
 	}
 
 	promoted, err := s.mgr.Feedback(rec, report.Observations)

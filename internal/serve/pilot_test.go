@@ -11,8 +11,11 @@ import (
 	"testing"
 	"time"
 
+	"opprox/internal/core"
 	"opprox/internal/feedback"
 	"opprox/internal/lifecycle"
+	"opprox/internal/obs"
+	"opprox/internal/retrain"
 )
 
 // pilotOptions are tight closed-loop thresholds: large residuals flip a
@@ -65,11 +68,75 @@ func modelsSnapshot(t *testing.T, baseURL string) modelsResponse {
 	return mr
 }
 
+// recalibratedShadow dark-launches a recalibrated clone of the live
+// model through lifecycle.CreateShadowFromBytes — the entry point the
+// retrainer uses, so the shadow is installed exactly as a retrain's
+// would be. The per-phase shifts are folded into the clone's existing
+// calibration on the log scales.
+func recalibratedShadow(t *testing.T, srv *Server, model string, spd, deg []float64) string {
+	t.Helper()
+	raw, _, ok := srv.Lifecycle().LiveRaw(model)
+	if !ok {
+		t.Fatalf("model %s not resolved", model)
+	}
+	clone, err := core.LoadTrained(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs, cd, ok := clone.CalibrationShifts()
+	if !ok {
+		cs, cd = make([]float64, clone.Phases), make([]float64, clone.Phases)
+	}
+	for ph := range cs {
+		cs[ph] += spd[ph]
+		cd[ph] += deg[ph]
+	}
+	if err := clone.SetCalibration(cs, cd); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := clone.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	ver, err := srv.Lifecycle().CreateShadowFromBytes(model, buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ver
+}
+
+// driftToShadow posts drifted feedback for dispatchID until the model
+// reads drifting, then dark-launches a shadow recalibrated by the drift
+// detector's median log-residuals — a fixed, deterministic candidate
+// that tracks the drifted feedback better than the live model.
+func driftToShadow(t *testing.T, srv *Server, baseURL, dispatchID string) string {
+	t.Helper()
+	for i := 0; ; i++ {
+		status, body := postJSON(t, baseURL+"/v1/feedback", driftedFeedback(dispatchID))
+		if status != http.StatusOK {
+			t.Fatalf("feedback: %d %s", status, body)
+		}
+		var fr feedbackResponse
+		if err := json.Unmarshal(body, &fr); err != nil {
+			t.Fatal(err)
+		}
+		if fr.State == "drifting" {
+			break
+		}
+		if i == 50 {
+			t.Fatal("drifted feedback never flipped the model to drifting")
+		}
+	}
+	spd, deg := srv.detector.Medians("pso.json", 2)
+	return recalibratedShadow(t, srv, "pso.json", spd, deg)
+}
+
 // TestServeClosedLoopEndToEnd drives the full pilot loop over HTTP:
-// dispatch -> drifted feedback -> drift detection -> shadow creation ->
-// auto-promotion -> /v1/models flips -> a fresh server started on the
-// promoted store serves a byte-identical dispatch -> rollback restores
-// the original version in one step.
+// dispatch -> drifted feedback -> drift detection (no shadow) -> POST
+// /v1/retrain dark-launches a shadow -> auto-promotion -> /v1/models
+// flips -> a fresh server started on the promoted store serves a
+// byte-identical dispatch -> rollback restores the original version in
+// one step.
 func TestServeClosedLoopEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a model; skipped with -short")
@@ -83,6 +150,8 @@ func TestServeClosedLoopEndToEnd(t *testing.T) {
 	}
 	opts := pilotOptions(store)
 	opts.FeedbackLog = flog
+	opts.Retrain = true
+	opts.RetrainOpts = retrain.Options{MinSamples: 8}
 	srv := New(opts)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
@@ -106,48 +175,69 @@ func TestServeClosedLoopEndToEnd(t *testing.T) {
 		t.Fatalf("initial lifecycle view: %+v", mr)
 	}
 
-	// Report 1: large residuals -> CUSUM fires -> drifting -> a
-	// recalibrated shadow is dark-launched in the same request.
-	status, fb1 := postJSON(t, ts.URL+"/v1/feedback", driftedFeedback(resp1.DispatchID))
-	if status != http.StatusOK {
-		t.Fatalf("feedback 1: %d %s", status, fb1)
+	// Four drifted reports (8 telemetry rows): large residuals -> CUSUM
+	// fires -> drifting. Drift alone builds no shadow.
+	reports := 0
+	feed := func() feedbackResponse {
+		t.Helper()
+		status, fb := postJSON(t, ts.URL+"/v1/feedback", driftedFeedback(resp1.DispatchID))
+		if status != http.StatusOK {
+			t.Fatalf("feedback %d: %d %s", reports, status, fb)
+		}
+		reports++
+		var fr feedbackResponse
+		if err := json.Unmarshal(fb, &fr); err != nil {
+			t.Fatal(err)
+		}
+		return fr
 	}
-	var fr1 feedbackResponse
-	if err := json.Unmarshal(fb1, &fr1); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 4; i++ {
+		if fr := feed(); fr.State != "drifting" || fr.Promoted {
+			t.Fatalf("drifted report %d: %+v", i, fr)
+		}
 	}
-	if fr1.State != "drifting" || fr1.ShadowCreated == "" || fr1.Promoted {
-		t.Fatalf("feedback 1 response: %s", fb1)
-	}
-	shadowVer := fr1.ShadowCreated
 	mr := modelsSnapshot(t, ts.URL)
-	if mr.Models[0].Health != "drifting" || mr.Models[0].Shadow == nil ||
-		mr.Models[0].Shadow.Version != shadowVer || mr.Models[0].Shadow.Samples != 2 {
+	if mr.Models[0].Health != "drifting" || mr.Models[0].Shadow != nil || mr.Models[0].LiveVersion != v0 {
 		t.Fatalf("lifecycle view after drift: %+v", mr.Models[0])
 	}
-	if mr.Models[0].Shadow.ShadowWindowErr >= mr.Models[0].Shadow.LiveWindowErr {
-		t.Fatalf("recalibrated shadow not better on the drifted feedback: %+v", mr.Models[0].Shadow)
+
+	// The retrainer is the shadow source.
+	status, rb := postJSON(t, ts.URL+"/v1/retrain", `{"model": "pso.json"}`)
+	if status != http.StatusOK {
+		t.Fatalf("retrain: %d %s", status, rb)
+	}
+	var rr retrainResult
+	if err := json.Unmarshal(rb, &rr); err != nil {
+		t.Fatal(err)
+	}
+	if rr.Status != "shadow_created" || rr.ShadowVersion == "" {
+		t.Fatalf("retrain response: %s", rb)
+	}
+	shadowVer := rr.ShadowVersion
+	mr = modelsSnapshot(t, ts.URL)
+	if mr.Models[0].Shadow == nil || mr.Models[0].Shadow.Version != shadowVer || mr.Models[0].Shadow.Samples != 0 {
+		t.Fatalf("lifecycle view after retrain: %+v", mr.Models[0])
 	}
 
-	// A dispatch under an active shadow is dark-launched: the live
-	// schedule is returned unchanged.
+	// A dispatch under an active shadow is served by the live version
+	// alone: the body is unchanged.
 	status, bodyDark := postJSON(t, ts.URL+"/v1/dispatch", dispatchBody)
 	if status != http.StatusOK || !bytes.Equal(bodyDark, body1) {
 		t.Fatalf("dark-launch changed the served dispatch:\n%s\n%s", body1, bodyDark)
 	}
 
-	// Report 2 completes the evidence: both windows reach MinShadowSamples
-	// and the shadow's realized error wins -> auto-promotion.
-	status, fb2 := postJSON(t, ts.URL+"/v1/feedback", driftedFeedback(resp1.DispatchID))
-	if status != http.StatusOK {
-		t.Fatalf("feedback 2: %d %s", status, fb2)
+	// Drifted feedback scores both versions; once both windows reach
+	// MinShadowSamples the shadow's realized error wins -> auto-promotion.
+	promoted := false
+	for i := 0; i < 6 && !promoted; i++ {
+		fr := feed()
+		promoted = fr.Promoted
+		if promoted && fr.State != "healthy" {
+			t.Fatalf("promoting report left state %q", fr.State)
+		}
 	}
-	var fr2 feedbackResponse
-	if err := json.Unmarshal(fb2, &fr2); err != nil {
-		t.Fatal(err)
-	}
-	if !fr2.Promoted || fr2.State != "healthy" {
-		t.Fatalf("feedback 2 did not auto-promote: %s", fb2)
+	if !promoted {
+		t.Fatal("retrained shadow never auto-promoted on drifted feedback")
 	}
 	mr = modelsSnapshot(t, ts.URL)
 	if mr.Models[0].LiveVersion != shadowVer || mr.Models[0].PreviousVersion != v0 ||
@@ -157,16 +247,8 @@ func TestServeClosedLoopEndToEnd(t *testing.T) {
 
 	// Feedback for the pre-promotion dispatch is now stale: logged, but
 	// not evidence against the new live version.
-	status, fb3 := postJSON(t, ts.URL+"/v1/feedback", driftedFeedback(resp1.DispatchID))
-	if status != http.StatusOK {
-		t.Fatalf("stale feedback: %d %s", status, fb3)
-	}
-	var fr3 feedbackResponse
-	if err := json.Unmarshal(fb3, &fr3); err != nil {
-		t.Fatal(err)
-	}
-	if fr3.Status != "stale_version" {
-		t.Fatalf("stale feedback response: %s", fb3)
+	if fr := feed(); fr.Status != "stale_version" {
+		t.Fatalf("stale feedback response: %+v", fr)
 	}
 
 	// The promoted model serves new dispatches...
@@ -203,16 +285,16 @@ func TestServeClosedLoopEndToEnd(t *testing.T) {
 
 	// One-step rollback restores the original version; the dispatch is
 	// byte-identical to the very first response.
-	status, rb := postJSON(t, ts.URL+"/v1/rollback", `{"model": "pso.json"}`)
+	status, rbk := postJSON(t, ts.URL+"/v1/rollback", `{"model": "pso.json"}`)
 	if status != http.StatusOK {
-		t.Fatalf("rollback: %d %s", status, rb)
+		t.Fatalf("rollback: %d %s", status, rbk)
 	}
 	var lr lifecycleResult
-	if err := json.Unmarshal(rb, &lr); err != nil {
+	if err := json.Unmarshal(rbk, &lr); err != nil {
 		t.Fatal(err)
 	}
 	if lr.LiveVersion != v0 || lr.PreviousVersion != shadowVer {
-		t.Fatalf("rollback result: %s", rb)
+		t.Fatalf("rollback result: %s", rbk)
 	}
 	status, body3 := postJSON(t, ts.URL+"/v1/dispatch", dispatchBody)
 	if status != http.StatusOK || !bytes.Equal(body3, body1) {
@@ -231,8 +313,8 @@ func TestServeClosedLoopEndToEnd(t *testing.T) {
 		t.Fatalf("rollback unknown model: %d %s", status, body)
 	}
 
-	// The telemetry log captured every accepted observation (3 reports x
-	// 2 phases), with residuals filled in.
+	// The telemetry log captured every accepted observation (2 phases per
+	// report), with residuals filled in.
 	if err := flog.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -245,13 +327,65 @@ func TestServeClosedLoopEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 6 {
-		t.Fatalf("telemetry log has %d entries, want 6", len(entries))
+	if len(entries) != 2*reports {
+		t.Fatalf("telemetry log has %d entries, want %d", len(entries), 2*reports)
 	}
 	for _, e := range entries {
 		if e.DispatchID != resp1.DispatchID || e.Model != "pso.json" || e.SpeedupRes == 0 {
 			t.Fatalf("bad telemetry entry: %+v", e)
 		}
+	}
+}
+
+// TestDriftCorrectsWithoutShadow pins the one drift response: drifted
+// feedback flips the model to drifting and the proactive controller
+// corrects the next dispatch's budget, but no shadow is built and the
+// live version does not change — shadows come only from the retrainer.
+func TestDriftCorrectsWithoutShadow(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains a model; skipped with -short")
+	}
+	store := newFakeStore()
+	store.files["pso.json"] = trainedModelJSON(t)
+	opts := pilotOptions(store)
+	opts.Proactive = true
+	ts := httptest.NewServer(New(opts).Handler())
+	t.Cleanup(ts.Close)
+	created := obs.Default.Counter("lifecycle.shadow.created")
+	before := created.Value()
+
+	status, body := postJSON(t, ts.URL+"/v1/dispatch", dispatchBody)
+	if status != http.StatusOK {
+		t.Fatalf("dispatch: %d %s", status, body)
+	}
+	var d DispatchResponse
+	if err := json.Unmarshal(body, &d); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		status, fb := postJSON(t, ts.URL+"/v1/feedback", driftedFeedback(d.DispatchID))
+		if status != http.StatusOK {
+			t.Fatalf("feedback %d: %d %s", i, status, fb)
+		}
+		var fr feedbackResponse
+		if err := json.Unmarshal(fb, &fr); err != nil {
+			t.Fatal(err)
+		}
+		if fr.State != "drifting" || fr.Promoted || bytes.Contains(fb, []byte("shadow")) {
+			t.Fatalf("drifted report %d: %s", i, fb)
+		}
+	}
+	mr := modelsSnapshot(t, ts.URL)
+	if m := mr.Models[0]; m.Health != "drifting" || m.Shadow != nil ||
+		m.LiveVersion != d.ModelVersion || m.PreviousVersion != "" {
+		t.Fatalf("drift changed the lifecycle: %+v", m)
+	}
+	if n := created.Value() - before; n != 0 {
+		t.Fatalf("drift created %d shadows", n)
+	}
+	status, hdr, _ := postHeaders(t, ts.URL+"/v1/dispatch", dispatchBody)
+	if status != http.StatusOK || hdr.Get(correctionHeader) == "" {
+		t.Fatalf("drifted model's dispatch is uncorrected: %d %v", status, hdr)
 	}
 }
 
@@ -305,9 +439,7 @@ func TestServeFeedbackDeterministic(t *testing.T) {
 	}
 	postJSON(t, ts.URL+"/v1/feedback", driftedFeedback(resp.DispatchID))
 	_, metrics := getJSON(t, ts.URL+"/metricsz")
-	for _, key := range []string{
-		"feedback.drift.to_drifting", "serve.feedback.requests", "lifecycle.shadow.created",
-	} {
+	for _, key := range []string{"feedback.drift.to_drifting", "serve.feedback.requests"} {
 		if !bytes.Contains(metrics, []byte(key)) {
 			t.Fatalf("/metricsz missing %q", key)
 		}

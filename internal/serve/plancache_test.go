@@ -203,13 +203,12 @@ func TestPlanCacheNeverServesStaleVersion(t *testing.T) {
 
 // TestDispatchPlanCacheHitZeroAllocs pins the acceptance criterion that
 // the steady-state hit path allocates nothing: after warmup, a repeat
-// dispatch is pooled key build + map lookup + cached bytes.
+// dispatch is pooled key build + map lookup + cached bytes. The second
+// case installs a shadow (as the retrainer does): a shadow is scored on
+// feedback only, so a hit still allocates nothing and runs no Optimize.
 func TestDispatchPlanCacheHitZeroAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a model; skipped with -short")
-	}
-	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under -race")
 	}
 	store := newFakeStore()
 	store.files["pso.json"] = trainedModelJSON(t)
@@ -220,13 +219,29 @@ func TestDispatchPlanCacheHitZeroAllocs(t *testing.T) {
 	if _, degraded, err := s.dispatchBody(ctx, dreq); err != nil || degraded {
 		t.Fatalf("warmup: degraded=%v err=%v", degraded, err)
 	}
-	allocs := testing.AllocsPerRun(200, func() {
+	hit := func() {
 		body, _, err := s.dispatchBody(ctx, dreq)
 		if err != nil || body == nil {
 			t.Fatal("hit path failed")
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("plan-cache hit allocates %.1f times per dispatch, want 0", allocs)
+	}
+	runs := obs.Default.Counter("core.optimize.runs")
+	for _, shadowed := range []bool{false, true} {
+		if shadowed {
+			recalibratedShadow(t, s, "pso.json", []float64{0.1, 0.1}, []float64{0.1, 0.1})
+		}
+		before := runs.Value()
+		for i := 0; i < 50; i++ {
+			hit()
+		}
+		if n := runs.Value() - before; n != 0 {
+			t.Fatalf("shadowed=%v: plan-cache hits ran Optimize %d times", shadowed, n)
+		}
+		if raceEnabled {
+			continue // allocation counts are not meaningful under -race
+		}
+		if allocs := testing.AllocsPerRun(200, hit); allocs != 0 {
+			t.Fatalf("shadowed=%v: plan-cache hit allocates %.1f times per dispatch, want 0", shadowed, allocs)
+		}
 	}
 }

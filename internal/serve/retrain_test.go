@@ -22,8 +22,7 @@ import (
 )
 
 // retrainServer starts a server with retraining enabled over a real
-// (rotating) telemetry log and auto-recalibration off, so the only
-// shadow source is the retrain pipeline itself.
+// (rotating) telemetry log.
 func retrainServer(t *testing.T, store Store, mutate ...func(*Options)) *httptest.Server {
 	t.Helper()
 	flog, err := feedback.OpenLogOptions(
@@ -35,7 +34,6 @@ func retrainServer(t *testing.T, store Store, mutate ...func(*Options)) *httptes
 	}
 	opts := pilotOptions(store)
 	opts.FeedbackLog = flog
-	opts.DisableAutoRecalibrate = true
 	opts.Retrain = true
 	opts.RetrainOpts = retrain.Options{MinSamples: 8}
 	for _, f := range mutate {
@@ -118,8 +116,8 @@ func TestServeRetrainEndToEnd(t *testing.T) {
 		t.Fatalf("retrain on empty telemetry: %d %s", status, body)
 	}
 
-	// Drifted feedback: auto-recalibration is off, so the model sits in
-	// "drifting" while telemetry accumulates — 5 reports x 2 phases
+	// Drifted feedback: drift alone builds no shadow, so the model sits
+	// in "drifting" while telemetry accumulates — 5 reports x 2 phases
 	// clears MinSamples 8.
 	for i := 0; i < 5; i++ {
 		if status, fb := post("/v1/feedback", driftedFeedback(d1.DispatchID)); status != http.StatusOK {
@@ -127,7 +125,7 @@ func TestServeRetrainEndToEnd(t *testing.T) {
 		}
 	}
 	if mr := modelsSnapshot(t, ts.URL); mr.Models[0].Shadow != nil {
-		t.Fatalf("auto-recalibrate disabled but a shadow appeared: %+v", mr.Models[0])
+		t.Fatalf("drift alone dark-launched a shadow: %+v", mr.Models[0])
 	}
 
 	// The retrain run replays the telemetry (across rotated segments),
@@ -217,7 +215,7 @@ func TestServeRetrainNotEnabled(t *testing.T) {
 }
 
 // TestServeRetrainStaleTrigger drives a model into the terminal stale
-// state with auto-recalibration off and checks the feedback response
+// state and checks the feedback response
 // reports a background retrain start, and that the retrained shadow
 // eventually appears without any further API call.
 func TestServeRetrainStaleTrigger(t *testing.T) {

@@ -77,9 +77,6 @@ type Options struct {
 	// RecordCap bounds the in-memory dispatch-record store feedback
 	// reports are matched against (default feedback.DefaultRecordCap).
 	RecordCap int
-	// DisableAutoRecalibrate turns off the drift response: models still
-	// flip to drifting/stale, but no shadow is created automatically.
-	DisableAutoRecalibrate bool
 	// PlanCacheCap bounds the dispatch-plan cache (0: DefaultPlanCacheCap;
 	// negative: disable caching — every dispatch recomputes).
 	PlanCacheCap int
@@ -134,7 +131,6 @@ type Server struct {
 	detector  *feedback.Detector
 	flog      *feedback.Log
 	mgr       *lifecycle.Manager
-	autoRecal bool
 	retrainer *retrain.Retrainer
 	ctrl      *controller
 
@@ -182,7 +178,6 @@ func New(opts Options) *Server {
 		records:       feedback.NewRecords(opts.RecordCap),
 		detector:      feedback.NewDetector(opts.Drift),
 		flog:          opts.FeedbackLog,
-		autoRecal:     !opts.DisableAutoRecalibrate,
 		plans:         newPlanCache(opts.PlanCacheCap),
 		ladder:        ladder,
 		timeouts:      qos.NewRateWindow(0, 0),
@@ -246,7 +241,7 @@ func New(opts Options) *Server {
 // Registry exposes the model registry (tests and the reload endpoint).
 func (s *Server) Registry() *Registry { return s.reg }
 
-// Lifecycle exposes the model-lifecycle manager (tests, opprox-pilot).
+// Lifecycle exposes the model-lifecycle manager (tests).
 func (s *Server) Lifecycle() *lifecycle.Manager { return s.mgr }
 
 // Handler returns the HTTP API:
@@ -486,7 +481,7 @@ func (s *Server) dispatch(ctx context.Context, dreq *DispatchRequest) (body []by
 		return body, degraded, rungCoarse, err
 	case 2:
 		obs.Inc("serve.ladder.rung.exact")
-		body, err = overloadBody(dreq)
+		body, err = accurateBody(dreq, overloadReason)
 		return body, err == nil, rungExact, err
 	default:
 		obs.Inc("serve.ladder.rung.reject")
@@ -511,7 +506,6 @@ func (s *Server) cachedBody(dreq *DispatchRequest) []byte {
 		return nil
 	}
 	s.records.Put(e.rec)
-	s.evalShadow(dreq, e.rec.Levels)
 	return e.body
 }
 
@@ -579,10 +573,9 @@ type planWork struct {
 // collapse onto one slot, concurrent distinct dispatches run as one
 // batched pass — and the result lands in the plan cache.
 func (s *Server) dispatchBody(ctx context.Context, dreq *DispatchRequest) (body []byte, degraded bool, err error) {
-	// Re-arming the feedback loop on a hit (records.Put, evalShadow)
-	// happens inside cachedBody: the record may have been evicted from
-	// the FIFO store since the plan was cached, and a dark-launched
-	// shadow still sees every dispatch, cached or not.
+	// Re-arming the feedback loop on a hit (records.Put) happens inside
+	// cachedBody: the record may have been evicted from the FIFO store
+	// since the plan was cached.
 	if body := s.cachedBody(dreq); body != nil {
 		return body, false, nil
 	}
@@ -593,23 +586,10 @@ func (s *Server) dispatchBody(ctx context.Context, dreq *DispatchRequest) (body 
 			return nil, false, err
 		}
 		// Degradation contract: the job still launches, with the
-		// all-accurate schedule. OPPROX_PHASES=1 and no per-block
-		// variables decodes (launch.DecodeEnv) to level 0 everywhere for
-		// any block set, so the fallback needs no model knowledge. Never
-		// cached: the degraded body embeds the failure reason, and the
-		// path does no optimization worth saving.
-		body, merr := marshalBody(&DispatchResponse{
-			App:      dreq.App,
-			Budget:   dreq.Budget,
-			Phases:   1,
-			Levels:   [][]int{{}},
-			Env:      []string{"OPPROX_PHASES=1"},
-			Speedup:  1,
-			Degraded: true,
-			Reason:   err.Error(),
-		})
-		if merr != nil {
-			return nil, false, merr
+		// all-accurate schedule.
+		body, err = accurateBody(dreq, err.Error())
+		if err != nil {
+			return nil, false, err
 		}
 		return body, true, nil
 	}
@@ -656,8 +636,8 @@ func (s *Server) runPlanBatch(keys []string, works []planWork) ([][]byte, []erro
 }
 
 // computePlan optimizes one dispatch against its pinned model version,
-// records it for the feedback loop, dark-launch-evaluates any shadow,
-// serializes the response, and installs the bytes in the plan cache.
+// records it for the feedback loop, serializes the response, and
+// installs the bytes in the plan cache.
 func (s *Server) computePlan(key string, wk planWork) ([]byte, error) {
 	dreq, tr, ver := wk.dreq, wk.tr, wk.ver
 	if wk.ctx != nil {
@@ -707,7 +687,6 @@ func (s *Server) computePlan(key string, wk planWork) ([]byte, error) {
 		Diags:   diags,
 	}
 	s.records.Put(rec)
-	s.evalShadow(dreq, levels)
 
 	body, err := marshalBody(&DispatchResponse{
 		App:              dreq.App,
@@ -729,6 +708,26 @@ func (s *Server) computePlan(key string, wk planWork) ([]byte, error) {
 	// cache transparency (invariant D10) holds by construction.
 	s.plans.put(key, dreq.ModelPath, body, rec)
 	return body, nil
+}
+
+// accurateBody is the all-accurate fallback schedule, the one body both
+// degraded paths serve: a model-unavailable dispatch (reason: the load
+// error) and ladder step 2 (reason: overloadReason). OPPROX_PHASES=1 and
+// no per-block variables decodes (launch.DecodeEnv) to level 0
+// everywhere for any block set, so the fallback needs no model
+// knowledge. Never cached and never recorded for feedback: the body
+// embeds its reason, and there is no model prediction to report on.
+func accurateBody(dreq *DispatchRequest, reason string) ([]byte, error) {
+	return marshalBody(&DispatchResponse{
+		App:      dreq.App,
+		Budget:   dreq.Budget,
+		Phases:   1,
+		Levels:   [][]int{{}},
+		Env:      []string{"OPPROX_PHASES=1"},
+		Speedup:  1,
+		Degraded: true,
+		Reason:   reason,
+	})
 }
 
 // liveModel resolves the live version of a model through the lifecycle

@@ -45,7 +45,7 @@ sh scripts/serve-smoke.sh
 
 echo "== opprox-serve shard smoke =="
 # Start a real 3-replica sharded fleet and drive dispatch, forwarded
-# feedback, promote and rollback through a non-owner replica.
+# feedback, retrain, promote and rollback through a non-owner replica.
 sh scripts/shard-smoke.sh
 
 echo "== opprox-serve retrain smoke =="
@@ -62,5 +62,13 @@ if [ "${BENCH:-0}" = "1" ]; then
     echo "== bench regression (>20% ns/op fails) =="
     go run ./cmd/opprox-bench -against "BENCH_${PR:-10}.json" -max 0.20
 fi
+
+# Size report: the two numbers the roadmap's north star tracks from
+# change to change (informational; never fails the gate).
+echo "== size =="
+lines=$(find internal -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)
+flags=$(go run ./cmd/opprox-serve -h 2>&1 | grep -c '^  -')
+echo "internal/ non-test Go lines: $lines"
+echo "opprox-serve flags: $flags"
 
 echo "check: all green"

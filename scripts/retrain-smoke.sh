@@ -1,7 +1,7 @@
 #!/bin/sh
 # opprox-serve retrain smoke: the online retraining drill against a real
-# server. A model drifts (auto-recalibration off, so calibration cannot
-# absorb it), the proactive controller starts correcting served budgets,
+# server, at the default drift and retrain thresholds. A model drifts,
+# the proactive controller starts correcting served budgets,
 # POST /v1/retrain replays the rotated telemetry log and dark-launches a
 # retrained shadow, further drifted feedback auto-promotes it, and a
 # rollback restores the original version. Every request in the drill
@@ -24,17 +24,10 @@ go build -o "$tmp/opprox-serve" ./cmd/opprox-serve
 mkdir "$tmp/models"
 "$tmp/opprox" -app pso -phases 2 -budget 10 -save "$tmp/models/pso.json" >/dev/null
 
-# Tight drift thresholds; a tiny rotation size so the drill exercises
-# segment replay; auto-recalibration off so the retrain pipeline is the
-# only shadow source.
+# A tiny rotation size so the drill exercises segment replay.
 "$tmp/opprox-serve" -addr 127.0.0.1:0 -models "$tmp/models" \
-    -drift-window 8 -drift-min-samples 4 -drift-exceed 0.5 \
-    -cusum-slack 0.02 -cusum-threshold 0.3 \
-    -err-window 8 -shadow-samples 4 \
-    -auto-recalibrate=false \
     -feedback-log "$tmp/telemetry.jsonl" -feedback-log-max-bytes 2048 \
-    -retrain -retrain-min-samples 8 \
-    -proactive \
+    -retrain -proactive \
     2>"$tmp/serve.log" &
 pid=$!
 
@@ -78,12 +71,13 @@ v0=$(echo "$resp" | sed -n 's/.*"model_version":"\([^"]*\)".*/\1/p')
 [ -n "$dispatch_id" ] && [ -n "$v0" ] || {
     echo "retrain-smoke: dispatch response incomplete: $resp" >&2; exit 1; }
 
-# Drifted feedback: 5 reports x 2 phases = 10 telemetry rows.
+# Drifted feedback: 16 reports x 2 phases = the 32 telemetry rows a
+# retrain needs by default.
 fb="{\"dispatch_id\": \"$dispatch_id\", \"observations\": [
   {\"phase\": 0, \"realized_speedup\": 10, \"realized_degradation\": 5},
   {\"phase\": 1, \"realized_speedup\": 10, \"realized_degradation\": 5}]}"
 i=0
-while [ $i -lt 5 ]; do
+while [ $i -lt 16 ]; do
     post /v1/feedback "$fb" >/dev/null
     no5xx /v1/feedback
     i=$((i + 1))
@@ -114,10 +108,10 @@ shadow=$(echo "$resp" | sed -n 's/.*"shadow_version":"\([^"]*\)".*/\1/p')
 echo "retrain-smoke: retrained shadow $shadow dark-launched"
 
 # Further drifted feedback is comparison evidence; the retrained shadow
-# wins and auto-promotes.
+# wins and auto-promotes once both windows hold 8 samples (4 reports).
 promoted=""
 i=0
-while [ $i -lt 6 ]; do
+while [ $i -lt 12 ]; do
     resp=$(post /v1/feedback "$fb")
     no5xx /v1/feedback
     if echo "$resp" | grep -q '"promoted":true'; then promoted=yes; break; fi

@@ -2,9 +2,10 @@
 # opprox-serve smoke: build the binaries, train a small model set, start
 # the server on an ephemeral port, exercise one healthy dispatch and one
 # degraded dispatch (missing model file), check /healthz, then drive the
-# closed loop: drifted feedback flips the model to drifting and
-# dark-launches a shadow, a manual promote makes it live, a rollback
-# restores the original. Finally shut down cleanly with SIGTERM.
+# closed loop: drifted feedback flips the model to drifting, POST
+# /v1/retrain dark-launches a retrained shadow, a manual promote makes
+# it live, a rollback restores the original. Finally shut down cleanly
+# with SIGTERM.
 # Everything runs out of a throwaway directory.
 set -eu
 
@@ -28,13 +29,10 @@ go build -o "$tmp/opprox-serve" ./cmd/opprox-serve
 mkdir "$tmp/models"
 "$tmp/opprox" -app pso -phases 2 -budget 10 -save "$tmp/models/pso.json" >/dev/null
 
-# Tight drift thresholds so a couple of drifted reports trip the
-# detector; auto-promotion off so the manual /v1/promote path is what
-# the smoke exercises.
+# Default drift and retrain thresholds; auto-promotion off so the manual
+# /v1/promote path is what the smoke exercises.
 "$tmp/opprox-serve" -addr 127.0.0.1:0 -models "$tmp/models" \
-    -drift-window 8 -drift-min-samples 4 -drift-exceed 0.5 \
-    -cusum-slack 0.02 -cusum-threshold 0.3 \
-    -auto-promote=false -feedback-log "$tmp/telemetry.jsonl" \
+    -auto-promote=false -feedback-log "$tmp/telemetry.jsonl" -retrain \
     2>"$tmp/serve.log" &
 pid=$!
 
@@ -77,7 +75,7 @@ echo "$resp" | grep -q '"degraded":true' || {
 echo "$resp" | grep -q '"predicted_speedup":1' || {
     echo "serve-smoke: degraded dispatch is not the all-accurate schedule: $resp" >&2; exit 1; }
 
-# --- closed loop: feedback -> drift -> shadow -> promote -> rollback ---
+# --- closed loop: feedback -> drift -> retrain -> shadow -> promote -> rollback ---
 
 body='{"app": "pso", "budget": 10, "model_path": "pso.json"}'
 resp=$(curl -sf -X POST -H 'Content-Type: application/json' -d "$body" "http://$addr/v1/dispatch")
@@ -88,19 +86,31 @@ v0=$(echo "$resp" | sed -n 's/.*"model_version":"\([^"]*\)".*/\1/p')
 [ -n "$v0" ] || {
     echo "serve-smoke: dispatch response has no model_version: $resp" >&2; exit 1; }
 
-# Synthetic drift: realized values far off the predictions.
+# Synthetic drift: realized values far off the predictions. 16 reports
+# x 2 phases log the 32 telemetry rows a retrain needs by default.
 fb="{\"dispatch_id\": \"$dispatch_id\", \"observations\": [
   {\"phase\": 0, \"realized_speedup\": 10, \"realized_degradation\": 5},
   {\"phase\": 1, \"realized_speedup\": 10, \"realized_degradation\": 5}]}"
-resp=$(curl -sf -X POST -H 'Content-Type: application/json' -d "$fb" "http://$addr/v1/feedback")
-echo "$resp" | grep -q '"state":"drifting"' || {
-    echo "serve-smoke: drifted feedback did not flip the model: $resp" >&2; exit 1; }
-echo "$resp" | grep -q '"shadow_created":"' || {
-    echo "serve-smoke: drift did not dark-launch a shadow: $resp" >&2; exit 1; }
+i=0
+while [ $i -lt 16 ]; do
+    resp=$(curl -sf -X POST -H 'Content-Type: application/json' -d "$fb" "http://$addr/v1/feedback")
+    echo "$resp" | grep -q '"state":"drifting"' || {
+        echo "serve-smoke: drifted feedback did not flip the model: $resp" >&2; exit 1; }
+    i=$((i + 1))
+done
 
 resp=$(curl -sf "http://$addr/v1/models")
 echo "$resp" | grep -q '"health":"drifting"' || {
     echo "serve-smoke: /v1/models does not show drift: $resp" >&2; exit 1; }
+if echo "$resp" | grep -q '"shadow":{'; then
+    echo "serve-smoke: drift alone dark-launched a shadow: $resp" >&2; exit 1
+fi
+
+resp=$(curl -sf -X POST -H 'Content-Type: application/json' \
+    -d '{"model": "pso.json"}' "http://$addr/v1/retrain")
+echo "$resp" | grep -q '"status":"shadow_created"' || {
+    echo "serve-smoke: retrain did not dark-launch a shadow: $resp" >&2; exit 1; }
+resp=$(curl -sf "http://$addr/v1/models")
 echo "$resp" | grep -q '"shadow":{' || {
     echo "serve-smoke: /v1/models does not show the shadow: $resp" >&2; exit 1; }
 
@@ -298,4 +308,4 @@ fi
 pid3=""
 echo "serve-smoke: overload drill ok (ladder rungs deterministic, 429 + Retry-After, lockout)"
 
-echo "serve-smoke: ok (dispatch, degraded dispatch, drift -> shadow -> promote -> rollback, overload drill, clean shutdown)"
+echo "serve-smoke: ok (dispatch, degraded dispatch, drift -> retrain -> shadow -> promote -> rollback, overload drill, clean shutdown)"

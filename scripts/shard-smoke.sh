@@ -6,7 +6,8 @@
 #
 #   - identical dispatch bodies from all three replicas (byte compare)
 #   - /v1/cluster topology introspection
-#   - drifted feedback forwarded to the owner -> shadow dark-launched
+#   - drifted feedback forwarded to the owner, logged there
+#   - proxied retrain -> shadow dark-launched on the owner
 #   - proxied promote -> new version served by every replica
 #   - proxied rollback -> every replica byte-identical to the original
 #   - clean SIGTERM shutdown of the fleet
@@ -40,8 +41,7 @@ replicas="a=http://127.0.0.1:$pa,b=http://127.0.0.1:$pb,c=http://127.0.0.1:$pc"
 start_replica() { # name port
     "$tmp/opprox-serve" -addr "127.0.0.1:$2" -models "$tmp/models" \
         -shard-self "$1" -shard-replicas "$replicas" \
-        -drift-window 8 -drift-min-samples 4 -drift-exceed 0.5 \
-        -cusum-slack 0.02 -cusum-threshold 0.3 \
+        -feedback-log "$tmp/telemetry-$1.jsonl" -retrain \
         -auto-promote=false \
         2>"$tmp/serve-$1.log" &
     pids="$pids $!"
@@ -99,15 +99,25 @@ v0=$(echo "$ra" | sed -n 's/.*"model_version":"\([^"]*\)".*/\1/p')
     echo "shard-smoke: dispatch response missing id/version: $ra" >&2; exit 1; }
 
 # Drifted feedback reported to non-owner a: a holds no record for the
-# dispatch and must forward the report to the owner.
+# dispatch and must forward the report to the owner, which logs it. 16
+# reports x 2 phases are the 32 telemetry rows a retrain needs.
 fb="{\"dispatch_id\": \"$dispatch_id\", \"observations\": [
   {\"phase\": 0, \"realized_speedup\": 10, \"realized_degradation\": 5},
   {\"phase\": 1, \"realized_speedup\": 10, \"realized_degradation\": 5}]}"
-resp=$(curl -sf -X POST -H 'Content-Type: application/json' -d "$fb" "http://127.0.0.1:$pa/v1/feedback")
-echo "$resp" | grep -q '"state":"drifting"' || {
-    echo "shard-smoke: forwarded feedback did not flip the model: $resp" >&2; exit 1; }
-echo "$resp" | grep -q '"shadow_created":"' || {
-    echo "shard-smoke: drift did not dark-launch a shadow: $resp" >&2; exit 1; }
+i=0
+while [ $i -lt 16 ]; do
+    resp=$(curl -sf -X POST -H 'Content-Type: application/json' -d "$fb" "http://127.0.0.1:$pa/v1/feedback")
+    echo "$resp" | grep -q '"state":"drifting"' || {
+        echo "shard-smoke: forwarded feedback did not flip the model: $resp" >&2; exit 1; }
+    i=$((i + 1))
+done
+
+# Proxied retrain through non-owner c: the owner replays its telemetry
+# and dark-launches the winner.
+resp=$(curl -sf -X POST -H 'Content-Type: application/json' \
+    -d '{"model": "pso.json"}' "http://127.0.0.1:$pc/v1/retrain")
+echo "$resp" | grep -q '"status":"shadow_created"' || {
+    echo "shard-smoke: proxied retrain did not dark-launch a shadow: $resp" >&2; exit 1; }
 
 # Proxied promote through non-owner a.
 resp=$(curl -sf -X POST -H 'Content-Type: application/json' \
@@ -147,4 +157,4 @@ for p in $pids; do
 done
 pids=""
 
-echo "shard-smoke: ok (3-replica fleet, proxied dispatch/feedback/promote/rollback, byte-identical across replicas)"
+echo "shard-smoke: ok (3-replica fleet, proxied dispatch/feedback/retrain/promote/rollback, byte-identical across replicas)"
