@@ -50,9 +50,8 @@
 // tested defaults; they are not flags.
 //
 // Serving at scale: repeat dispatches are answered from a bounded
-// dispatch-plan cache (-plan-cache) and concurrent cold dispatches are
-// coalesced into batched optimization passes; both are transparent —
-// responses stay byte-identical to uncached serving. Passing
+// dispatch-plan cache (-plan-cache), transparently — responses stay
+// byte-identical to uncached serving. Passing
 // -shard-self and -shard-replicas makes this process one replica of a
 // sharded fleet: models are partitioned across replicas by rendezvous
 // hashing and any replica proxies requests for models it does not own

@@ -7,10 +7,10 @@ import (
 
 // Gate bounds concurrent in-flight computations with a buffered-channel
 // semaphore and counts how many callers are queued behind it. The
-// serving layer acquires a slot *before* spawning a dispatch worker
-// goroutine, so a burst of timed-out requests can abandon at most Cap
-// running computations — the rest never start (the goroutine-leak fix,
-// ISSUE 9) — and InFlight/Waiting become the load signals the
+// serving layer holds a slot for the whole of a dispatch computation,
+// which runs on the request's own goroutine: at most Cap computations
+// run at once, the rest wait in Acquire until a slot frees or their
+// deadline passes, and InFlight/Waiting become the load signals the
 // degradation ladder steers by.
 type Gate struct {
 	sem     chan struct{}

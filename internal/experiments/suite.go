@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -112,7 +113,7 @@ func (s *Suite) Trained(app string, phases int) (*core.Trained, error) {
 // later) reuses its result. Errors stay cached — a training run that
 // failed once fails the same way for every experiment that needs it.
 func (s *Suite) train(key string, fn func() (*core.Trained, error)) (*core.Trained, error) {
-	tr, err, hit := s.trained.Do(key, fn)
+	tr, err, hit := s.trained.Do(context.TODO(), key, fn)
 	if hit {
 		obs.Inc("experiments.train.cached")
 	} else {

@@ -2,24 +2,23 @@
 // caller for a key computes the value, every other caller — concurrent or
 // later — reuses the result. It is the deduplication pattern the parallel
 // experiment engine introduced for trained-model and golden-run caches
-// (internal/experiments), extracted so the serving layer's model registry
-// (internal/serve) can share it.
+// (internal/experiments), extracted so the serving layer's lifecycle
+// manager (internal/lifecycle) can share it.
 //
 // Unlike golang.org/x/sync/singleflight, results (including errors) stay
 // cached after the flight completes; callers that want failed keys retried
-// call Forget, and callers that need atomic hot-swap call Replace.
+// call Forget.
 package flight
 
 import (
+	"context"
 	"sort"
 	"sync"
-	"sync/atomic"
 )
 
 // slot is one cached computation.
 type slot[V any] struct {
-	once sync.Once
-	done atomic.Bool // set once v/err are final; lets Peek avoid blocking
+	done chan struct{} // closed once v/err are final
 	v    V
 	err  error
 }
@@ -32,26 +31,42 @@ type Group[V any] struct {
 }
 
 // Do returns the cached value for key, computing it with fn on first use.
-// Concurrent callers for the same key block until the one running fn
-// finishes, then share its result. The third return reports whether the
-// slot already existed before this call (a cache hit): errors are cached
-// like values, so a caller that wants failures retried must Forget the
-// key.
-func (g *Group[V]) Do(key string, fn func() (V, error)) (V, error, bool) {
+// fn runs once, on a goroutine of its own; every caller, the one that
+// started the flight included, waits until the flight completes or its
+// own ctx is done. A caller that gives up gets ctx.Err() and leaves the
+// flight running: it still completes, is delivered to the callers still
+// waiting and is cached for later ones, so a burst of abandoning callers
+// parks one goroutine per key, not one per caller. A completed flight is
+// returned even when ctx is already done. The third return reports
+// whether the slot already existed before this call (a cache hit):
+// errors are cached like values, so a caller that wants failures retried
+// must Forget the key — and only after a failure of the flight itself,
+// never because its own ctx ended.
+func (g *Group[V]) Do(ctx context.Context, key string, fn func() (V, error)) (V, error, bool) {
 	g.mu.Lock()
 	if g.slots == nil {
 		g.slots = map[string]*slot[V]{}
 	}
 	s, hit := g.slots[key]
 	if !hit {
-		s = &slot[V]{}
+		s = &slot[V]{done: make(chan struct{})}
 		g.slots[key] = s
+		go func() {
+			s.v, s.err = fn()
+			close(s.done)
+		}()
 	}
 	g.mu.Unlock()
-	s.once.Do(func() {
-		s.v, s.err = fn()
-		s.done.Store(true)
-	})
+	select {
+	case <-s.done:
+	default:
+		select {
+		case <-s.done:
+		case <-ctx.Done():
+			var zero V
+			return zero, ctx.Err(), hit
+		}
+	}
 	return s.v, s.err, hit
 }
 
@@ -63,34 +78,26 @@ func (g *Group[V]) Peek(key string) (V, bool) {
 	g.mu.Lock()
 	s := g.slots[key]
 	g.mu.Unlock()
-	if s == nil || !s.done.Load() || s.err != nil {
-		var zero V
+	var zero V
+	if s == nil {
 		return zero, false
 	}
-	return s.v, true
+	select {
+	case <-s.done:
+		if s.err == nil {
+			return s.v, true
+		}
+	default:
+	}
+	return zero, false
 }
 
-// Forget drops key so the next Do recomputes it. Callers already blocked
-// on the old flight still receive its result.
+// Forget drops key so the next Do recomputes it. Callers already waiting
+// on the old flight still receive its result; fn may Forget its own key
+// to make its failure retryable.
 func (g *Group[V]) Forget(key string) {
 	g.mu.Lock()
 	delete(g.slots, key)
-	g.mu.Unlock()
-}
-
-// Replace atomically installs a completed value for key; subsequent Do
-// calls return it without running their fn. This is the hot-reload
-// primitive: compute the replacement outside the group, then swap it in
-// only on success.
-func (g *Group[V]) Replace(key string, v V) {
-	s := &slot[V]{v: v}
-	s.once.Do(func() {})
-	s.done.Store(true)
-	g.mu.Lock()
-	if g.slots == nil {
-		g.slots = map[string]*slot[V]{}
-	}
-	g.slots[key] = s
 	g.mu.Unlock()
 }
 

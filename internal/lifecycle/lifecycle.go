@@ -1,7 +1,7 @@
 // Package lifecycle is the model-lifecycle half of the closed serving
-// loop: a versioned registry layered on the serving layer's model cache.
-// Every model file gets a content-hash version. The only source of a
-// **shadow** version is the retrain pipeline (internal/retrain), which
+// loop: the versioned model cache the serving layer resolves models
+// through. Every model file gets a content-hash version. The only source
+// of a **shadow** version is the retrain pipeline (internal/retrain), which
 // hands a fully built candidate to CreateShadowFromBytes. A shadow is
 // dark-launched in the feedback sense only: dispatches are planned and
 // served by the live version alone, while every feedback report scores
@@ -29,7 +29,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"opprox/internal/approx"
@@ -39,15 +38,11 @@ import (
 	"opprox/internal/obs"
 )
 
-// Registry is the byte-reading, model-caching surface the manager layers
-// on — *serve.Registry satisfies it. ReadAll applies the registry's
-// retry/backoff policy; Install and Forget keep the singleflight cache
-// consistent with lifecycle swaps so a promote can never serve a stale
-// cached model.
+// Registry is the byte-reading surface the manager loads models through
+// — *serve.Registry satisfies it. ReadAll applies the registry's
+// retry/backoff policy. The manager is the only model cache.
 type Registry interface {
 	ReadAll(ctx context.Context, name string) ([]byte, error)
-	Install(name string, tr *core.Trained)
-	Forget(name string)
 }
 
 // Publisher persists model bytes back into the store (atomic
@@ -187,31 +182,41 @@ func NewManager(reg Registry, pub Publisher, opts Options) *Manager {
 }
 
 // state resolves (loading on first use, singleflight) the lifecycle
-// state for a base model name.
+// state for a base model name. The load runs once per name on its own
+// goroutine, detached from any one caller's deadline; a caller whose ctx
+// ends stops waiting and gets ctx.Err(), and later callers join the same
+// load. So a store that hangs in Open parks one goroutine per model, not
+// one per timed-out request.
 func (m *Manager) state(ctx context.Context, name string) (*modelState, error) {
-	st, err, _ := m.group.Do(name, func() (*modelState, error) {
-		raw, err := m.reg.ReadAll(ctx, name)
+	st, err, _ := m.group.Do(ctx, name, func() (*modelState, error) {
+		st, err := m.load(context.WithoutCancel(ctx), name)
 		if err != nil {
-			return nil, err
+			// Never cache a failed load: the store may heal. Only the
+			// load's own failure forgets the name — a caller that gave up
+			// on its deadline must not start a second load.
+			m.group.Forget(name)
 		}
-		tr, err := core.LoadTrained(bytes.NewReader(raw))
-		if err != nil {
-			return nil, fmt.Errorf("model %q: %w", name, err)
-		}
-		m.reg.Install(name, tr)
-		return &modelState{
-			name:        name,
-			liveVersion: Version(raw),
-			live:        tr,
-			liveRaw:     raw,
-		}, nil
+		return st, err
 	})
+	return st, err
+}
+
+// load reads and validates one model file into a fresh lifecycle state.
+func (m *Manager) load(ctx context.Context, name string) (*modelState, error) {
+	raw, err := m.reg.ReadAll(ctx, name)
 	if err != nil {
-		// Never cache a failed load: the store may heal.
-		m.group.Forget(name)
 		return nil, err
 	}
-	return st, nil
+	tr, err := core.LoadTrained(bytes.NewReader(raw))
+	if err != nil {
+		return nil, fmt.Errorf("model %q: %w", name, err)
+	}
+	return &modelState{
+		name:        name,
+		liveVersion: Version(raw),
+		live:        tr,
+		liveRaw:     raw,
+	}, nil
 }
 
 // peek returns the state only if the model was already resolved
@@ -387,8 +392,6 @@ func (m *Manager) promoteLocked(st *modelState) error {
 	st.prevVersion, st.prev, st.prevRaw = st.liveVersion, st.live, st.liveRaw
 	st.liveVersion, st.live, st.liveRaw = sh.version, sh.tr, sh.raw
 	st.shadow = nil
-	m.reg.Install(st.name, st.live)
-	m.reg.Forget(VersionedName(st.name, st.prevVersion))
 	m.noteSwap(st.name)
 	obs.Inc("lifecycle.promote")
 	obs.LogEvent("lifecycle.promote", "%s: %s promoted over %s", st.name, st.liveVersion, st.prevVersion)
@@ -420,7 +423,6 @@ func (m *Manager) Rollback(name string) error {
 	st.live, st.prev = st.prev, st.live
 	st.liveRaw, st.prevRaw = st.prevRaw, st.liveRaw
 	st.shadow = nil
-	m.reg.Install(st.name, st.live)
 	m.noteSwap(st.name)
 	obs.Inc("lifecycle.rollback")
 	obs.LogEvent("lifecycle.rollback", "%s: rolled back to %s (from %s)", st.name, st.liveVersion, st.prevVersion)
@@ -439,24 +441,18 @@ func (m *Manager) Reload(ctx context.Context, name string) (bool, error) {
 		_, err := m.state(ctx, name)
 		return err == nil, err
 	}
-	raw, err := m.reg.ReadAll(ctx, name)
+	fresh, err := m.load(ctx, name)
 	if err != nil {
 		return false, err
 	}
-	tr, err := core.LoadTrained(bytes.NewReader(raw))
-	if err != nil {
-		return false, fmt.Errorf("model %q: %w", name, err)
-	}
-	ver := Version(raw)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if ver == st.liveVersion {
+	if fresh.liveVersion == st.liveVersion {
 		return false, nil
 	}
 	st.prevVersion, st.prev, st.prevRaw = st.liveVersion, st.live, st.liveRaw
-	st.liveVersion, st.live, st.liveRaw = ver, tr, raw
+	st.liveVersion, st.live, st.liveRaw = fresh.liveVersion, fresh.live, fresh.liveRaw
 	st.shadow = nil
-	m.reg.Install(name, tr)
 	m.noteSwap(name)
 	obs.Inc("lifecycle.reload")
 	return true, nil
@@ -492,10 +488,21 @@ type ModelStatus struct {
 	Shadow          *ShadowStatus `json:"shadow,omitempty"`
 }
 
+// Models returns the names this manager has resolved successfully,
+// sorted. A load still in flight is not listed.
+func (m *Manager) Models() []string {
+	var names []string
+	for _, name := range m.group.Keys() {
+		if _, ok := m.peek(name); ok {
+			names = append(names, name)
+		}
+	}
+	return names
+}
+
 // Snapshot lists every resolved model's lifecycle state, sorted by name.
 func (m *Manager) Snapshot() []ModelStatus {
-	names := m.group.Keys()
-	sort.Strings(names)
+	names := m.Models()
 	out := make([]ModelStatus, 0, len(names))
 	for _, name := range names {
 		st, ok := m.peek(name)

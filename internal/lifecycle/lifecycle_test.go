@@ -44,17 +44,14 @@ func modelJSON(t *testing.T) []byte {
 	return modelBytes
 }
 
-// fakeReg is an in-memory Registry that records Install/Forget calls so
-// tests can assert the serving cache is kept consistent with swaps.
+// fakeReg is an in-memory Registry.
 type fakeReg struct {
-	mu        sync.Mutex
-	files     map[string][]byte
-	installed map[string]*core.Trained
-	forgotten []string
+	mu    sync.Mutex
+	files map[string][]byte
 }
 
 func newFakeReg() *fakeReg {
-	return &fakeReg{files: map[string][]byte{}, installed: map[string]*core.Trained{}}
+	return &fakeReg{files: map[string][]byte{}}
 }
 
 func (r *fakeReg) ReadAll(_ context.Context, name string) ([]byte, error) {
@@ -65,24 +62,6 @@ func (r *fakeReg) ReadAll(_ context.Context, name string) ([]byte, error) {
 		return nil, fmt.Errorf("fakeReg: no file %q", name)
 	}
 	return append([]byte(nil), b...), nil
-}
-
-func (r *fakeReg) Install(name string, tr *core.Trained) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.installed[name] = tr
-}
-
-func (r *fakeReg) Forget(name string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.forgotten = append(r.forgotten, name)
-}
-
-func (r *fakeReg) installedModel(name string) *core.Trained {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.installed[name]
 }
 
 // fakePub is an in-memory Publisher.
@@ -116,7 +95,7 @@ func newTestManager(t *testing.T, opts Options) (*Manager, *fakeReg, *fakePub) {
 }
 
 func TestLiveResolvesAndVersions(t *testing.T) {
-	m, reg, _ := newTestManager(t, Options{})
+	m, _, _ := newTestManager(t, Options{})
 	tr, ver, err := m.Live(context.Background(), "pso.json")
 	if err != nil {
 		t.Fatal(err)
@@ -124,8 +103,8 @@ func TestLiveResolvesAndVersions(t *testing.T) {
 	if want := Version(modelJSON(t)); ver != want {
 		t.Fatalf("live version %q, want content hash %q", ver, want)
 	}
-	if tr == nil || reg.installedModel("pso.json") != tr {
-		t.Fatal("live model not installed into the serving cache")
+	if again, _, _ := m.Live(context.Background(), "pso.json"); tr == nil || again != tr {
+		t.Fatal("second resolve did not return the cached live model")
 	}
 
 	// Unknown models error on the mutating surface and stay invisible on
@@ -141,6 +120,9 @@ func TestLiveResolvesAndVersions(t *testing.T) {
 	}
 	if err := m.Rollback("missing.json"); !errors.Is(err, ErrUnknownModel) {
 		t.Fatalf("Rollback err = %v, want ErrUnknownModel", err)
+	}
+	if got := m.Models(); !reflect.DeepEqual(got, []string{"pso.json"}) {
+		t.Fatalf("Models = %v, want only the resolved pso.json", got)
 	}
 	// The failed resolve must not leave a poisoned slot behind.
 	if _, _, err := m.Live(context.Background(), "pso.json"); err != nil {
@@ -200,7 +182,7 @@ func shifts(phases int, v float64) ([]float64, []float64) {
 }
 
 func TestCreateShadowPromoteRollback(t *testing.T) {
-	m, reg, pub := newTestManager(t, Options{})
+	m, _, pub := newTestManager(t, Options{})
 	_, liveVer, err := m.Live(context.Background(), "pso.json")
 	if err != nil {
 		t.Fatal(err)
@@ -257,8 +239,8 @@ func TestCreateShadowPromoteRollback(t *testing.T) {
 	if prev, ok := pub.get(VersionedName("pso.json", liveVer)); !ok || Version(prev) != liveVer {
 		t.Fatal("outgoing live version not preserved under its versioned name")
 	}
-	if reg.installedModel("pso.json") == nil {
-		t.Fatal("promoted model not installed into the serving cache")
+	if got := m.Models(); !reflect.DeepEqual(got, []string{"pso.json"}) {
+		t.Fatalf("Models after promote = %v", got)
 	}
 	snap := m.Snapshot()
 	if len(snap) != 1 || snap[0].LiveVersion != shVer ||

@@ -70,8 +70,8 @@ const (
 
 // DefaultMaxInFlight caps concurrent dispatch computations when
 // Options.MaxInFlight is zero. Generous: the default ladder engages at
-// half occupancy, and the cap's job is bounding abandoned work after
-// timeouts, not steady-state throughput.
+// half occupancy, and the cap's job is bounding concurrent work under a
+// burst, not steady-state throughput.
 const DefaultMaxInFlight = 256
 
 // DefaultCoarseQuantum is the budget grid of ladder step 1: budgets

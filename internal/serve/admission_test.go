@@ -15,6 +15,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -82,50 +83,116 @@ func dispatchWithBudget(budget float64) string {
 
 // TestGateBoundsAbandonedGoroutines is the abandoned-goroutine-leak
 // regression: a burst of dispatches against a wedged model store, all
-// timing out, must strand at most MaxInFlight computations — and zero
-// once the store unwedges.
+// timing out, must strand at most one parked model load — and zero once
+// the store unwedges. With the gate, the in-flight count also stays
+// within MaxInFlight; without it, the burst still shares one load.
 func TestGateBoundsAbandonedGoroutines(t *testing.T) {
-	bs := blockingStore{release: make(chan struct{})}
-	srv := New(Options{
-		Store:       bs,
-		Registry:    RegistryOptions{RetryBase: time.Microsecond},
-		MaxInFlight: 4,
-	})
 	var dreq DispatchRequest
 	if err := json.Unmarshal([]byte(dispatchBody), &dreq); err != nil {
 		t.Fatal(err)
 	}
-
-	base := runtime.NumGoroutine()
-	const burst = 48
-	var wg sync.WaitGroup
-	for i := 0; i < burst; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ctx, cancel := context.WithTimeout(context.Background(), 25*time.Millisecond)
-			defer cancel()
-			srv.dispatch(ctx, &dreq)
-		}()
+	// burstTimeouts fires 48 dispatches that each give up after 25ms and
+	// waits for all of them to return.
+	burstTimeouts := func(srv *Server) {
+		var wg sync.WaitGroup
+		for i := 0; i < 48; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				ctx, cancel := context.WithTimeout(context.Background(), 25*time.Millisecond)
+				defer cancel()
+				srv.dispatch(ctx, &dreq)
+			}()
+		}
+		wg.Wait()
 	}
-	wg.Wait()
-
-	// Every request has returned. Only computations that won a gate
-	// slot may still be running (parked in the store); before the gate,
-	// all 48 abandoned goroutines would still be alive here.
 	const slack = 6
-	if g := runtime.NumGoroutine(); g > base+4+slack {
-		t.Fatalf("%d goroutines after timed-out burst (baseline %d, in-flight cap 4): abandoned computations leaked", g, base)
-	}
-	if got := srv.gate.InFlight(); got > 4 {
-		t.Fatalf("in-flight %d exceeds cap 4", got)
-	}
 
-	close(bs.release)
+	t.Run("gated", func(t *testing.T) {
+		bs := blockingStore{release: make(chan struct{})}
+		srv := New(Options{
+			Store:       bs,
+			Registry:    RegistryOptions{RetryBase: time.Microsecond},
+			MaxInFlight: 4,
+		})
+		base := runtime.NumGoroutine()
+		burstTimeouts(srv)
+
+		// Every request has returned. Only work that won a gate slot may
+		// still be running (parked in the store); before the gate, all 48
+		// abandoned goroutines would still be alive here.
+		if g := runtime.NumGoroutine(); g > base+4+slack {
+			t.Fatalf("%d goroutines after timed-out burst (baseline %d, in-flight cap 4): abandoned computations leaked", g, base)
+		}
+		if got := srv.gate.InFlight(); got > 4 {
+			t.Fatalf("in-flight %d exceeds cap 4", got)
+		}
+
+		close(bs.release)
+		waitForGoroutines(t, base+2)
+	})
+
+	t.Run("ungated", func(t *testing.T) {
+		if testing.Short() {
+			t.Skip("trains a model; skipped with -short")
+		}
+		store := newFakeStore()
+		store.files["pso.json"] = trainedModelJSON(t)
+		ws := &wedgedStore{Store: store, release: make(chan struct{})}
+		srv := New(Options{
+			Store:       ws,
+			Registry:    RegistryOptions{RetryBase: time.Microsecond},
+			MaxInFlight: -1,
+		})
+		base := runtime.NumGoroutine()
+		burstTimeouts(srv)
+
+		// The burst shares one model load, parked in Open; every request
+		// gave up on its own deadline without starting another.
+		if p := ws.parked.Load(); p > 1 {
+			t.Fatalf("%d loads parked in the store, want at most 1", p)
+		}
+		if g := runtime.NumGoroutine(); g > base+1+slack {
+			t.Fatalf("%d goroutines after timed-out burst (baseline %d, no gate): timed-out requests left work behind", g, base)
+		}
+
+		close(ws.release)
+		waitForGoroutines(t, base+2)
+		// 48 timeouts pushed the ladder to its reject step; pin step 0 so
+		// the next dispatch takes the compute path.
+		if err := srv.ForceLadderStep(0); err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(srv.Handler())
+		t.Cleanup(ts.Close)
+		got := conformanceDispatch(t, ts.URL)
+		assertSameBody(t, "after the store unwedged", got, conformanceDispatch(t, newTestServer(t, store).URL))
+	})
+}
+
+// wedgedStore parks every Open until release is closed, then serves the
+// wrapped store; parked counts the Opens currently waiting.
+type wedgedStore struct {
+	Store
+	release chan struct{}
+	parked  atomic.Int32
+}
+
+func (s *wedgedStore) Open(name string) (io.ReadCloser, error) {
+	s.parked.Add(1)
+	defer s.parked.Add(-1)
+	<-s.release
+	return s.Store.Open(name)
+}
+
+// waitForGoroutines waits up to 5s for the goroutine count to fall to
+// at most n.
+func waitForGoroutines(t *testing.T, n int) {
+	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > base+2 {
+	for runtime.NumGoroutine() > n {
 		if time.Now().After(deadline) {
-			t.Fatalf("goroutines did not drain after release: %d, baseline %d", runtime.NumGoroutine(), base)
+			t.Fatalf("goroutines did not drain after release: %d, want <= %d", runtime.NumGoroutine(), n)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

@@ -39,7 +39,7 @@ func BenchmarkDispatchPlanCacheHit(b *testing.B) {
 
 // BenchmarkDispatchCold is the uncached dispatch: full schedule
 // optimization, diagnosis, recording and serialization on every request
-// (plan cache disabled; the batcher runs a one-item batch each time).
+// (plan cache disabled).
 func BenchmarkDispatchCold(b *testing.B) {
 	s, dreq := benchServer(b, -1)
 	ctx := context.Background()
@@ -54,8 +54,9 @@ func BenchmarkDispatchCold(b *testing.B) {
 }
 
 // BenchmarkDispatchCoalesced is the concurrent uncached burst: parallel
-// identical dispatches with the plan cache disabled, so the batcher's
-// collapse-and-batch path carries all the load.
+// identical dispatches with the plan cache disabled, each computing its
+// own plan on its own goroutine. (The name predates the removal of
+// miss coalescing; BENCH_10.json tracks it under this name.)
 func BenchmarkDispatchCoalesced(b *testing.B) {
 	s, dreq := benchServer(b, -1)
 	ctx := context.Background()
@@ -65,7 +66,7 @@ func BenchmarkDispatchCoalesced(b *testing.B) {
 		for pb.Next() {
 			body, _, err := s.dispatchBody(ctx, dreq)
 			if err != nil || body == nil {
-				b.Error("coalesced path failed")
+				b.Error("concurrent cold path failed")
 				return
 			}
 		}

@@ -238,7 +238,7 @@ func (s *Server) handleCluster(w http.ResponseWriter, req *http.Request) {
 			Self: name == c.self,
 		})
 	}
-	models := s.reg.Models()
+	models := s.mgr.Models()
 	sort.Strings(models)
 	for _, m := range models {
 		owner, _ := c.table.Owner(m)

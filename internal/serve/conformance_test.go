@@ -2,16 +2,17 @@ package serve
 
 // The black-box serving conformance suite: for a fixed (model version,
 // params, budget), every serving path must return byte-identical
-// response bodies — cold, plan-cache hit, coalesced under concurrency,
+// response bodies — cold, plan-cache hit, concurrent cold computations,
 // sharded behind one replica, and sharded across three replicas with
 // proxy hops — and the identity must survive promote -> rollback cycles.
 // The suite only speaks HTTP (plus one ConfigureCluster call per
-// server), so any future cache, coalescing or routing change that skews
+// server), so any future cache, concurrency or routing change that skews
 // a single byte fails here regardless of which internal layer caused it.
 
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -30,7 +31,14 @@ import (
 // the raw body after asserting a non-degraded 200.
 func conformanceDispatch(t *testing.T, baseURL string) []byte {
 	t.Helper()
-	status, body := postJSON(t, baseURL+"/v1/dispatch", dispatchBody)
+	return postDispatch(t, baseURL, dispatchBody)
+}
+
+// postDispatch posts one dispatch request and returns the raw body after
+// asserting a non-degraded 200.
+func postDispatch(t *testing.T, baseURL, req string) []byte {
+	t.Helper()
+	status, body := postJSON(t, baseURL+"/v1/dispatch", req)
 	if status != http.StatusOK {
 		t.Fatalf("dispatch: %d %s", status, body)
 	}
@@ -94,18 +102,25 @@ func TestServingConformance(t *testing.T) {
 	hit := conformanceDispatch(t, coldSrv.URL)
 	assertSameBody(t, "plan-cache-hit", hit, want)
 
-	// Path 3: coalesced — plan cache disabled so every request takes the
-	// batcher, and a concurrent burst forces identical-key collapsing
-	// and distinct-arrival batching to actually happen.
-	coalSrv := newTestServer(t, store, func(o *Options) { o.PlanCacheCap = -1 })
-	const burst = 16
+	// Path 3: concurrent — plan cache disabled so every request computes
+	// its plan on its own goroutine, in a mixed burst of identical and
+	// distinct budgets. Each body must equal its budget's serial cold
+	// body from coldSrv (the first dispatch of that budget there).
+	budgets := []float64{10, 2.5, 7, 15, 25}
+	serial := map[float64][]byte{10: want}
+	for _, b := range budgets[1:] {
+		serial[b] = postDispatch(t, coldSrv.URL, dispatchWithBudget(b))
+	}
+	concSrv := newTestServer(t, store, func(o *Options) { o.PlanCacheCap = -1 })
+	const burst = 20
 	bodies := make([][]byte, burst)
 	var wg sync.WaitGroup
 	for i := 0; i < burst; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resp, err := http.Post(coalSrv.URL+"/v1/dispatch", "application/json", strings.NewReader(dispatchBody))
+			resp, err := http.Post(concSrv.URL+"/v1/dispatch", "application/json",
+				strings.NewReader(dispatchWithBudget(budgets[i%len(budgets)])))
 			if err != nil {
 				t.Error(err)
 				return
@@ -121,8 +136,7 @@ func TestServingConformance(t *testing.T) {
 	}
 	wg.Wait()
 	for i, b := range bodies {
-		assertSameBody(t, "coalesced", b, want)
-		_ = i
+		assertSameBody(t, fmt.Sprintf("concurrent (budget %g)", budgets[i%len(budgets)]), b, serial[budgets[i%len(budgets)]])
 	}
 
 	// Path 4: sharded, one replica — the proxy-or-serve decision always

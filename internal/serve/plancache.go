@@ -57,7 +57,7 @@ type planEntry struct {
 
 // planCache is a bounded LRU over plan entries. A capacity < 0 disables
 // the cache entirely (every lookup misses, nothing is stored) — the
-// coalescing and conformance tests use that to force the batch path.
+// conformance tests use that to force every dispatch to compute.
 type planCache struct {
 	mu      sync.Mutex
 	cap     int

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -10,30 +9,23 @@ import (
 	"io/fs"
 	"time"
 
-	"opprox/internal/core"
-	"opprox/internal/flight"
 	"opprox/internal/obs"
 )
 
-// Registry is the model cache behind the serving layer. Each model file
-// is read and validated once (LoadTrained runs the full structural
-// checks, including the confidence-band validation), then served from
-// memory behind a singleflight group: concurrent first requests for the
-// same model share one load, and every later request is a cache hit.
+// Registry reads model files from the store under the serving layer's
+// failure policy. It caches nothing: the lifecycle manager
+// (internal/lifecycle) loads each model once through ReadAll, validates
+// it and keeps it resident.
 //
 // Failure policy:
 //
 //   - Transient store reads (I/O errors other than fs.ErrNotExist) are
-//     retried with exponential backoff, bounded by Retries and the
-//     request context.
-//   - Missing files and validation failures are permanent for this
-//     attempt: they are classified as ErrModelUnavailable immediately.
-//   - Load errors are never cached. The failed key is forgotten so the
-//     next request retries once the store heals; until then callers
-//     degrade (see Server).
-//   - Reload loads the replacement off to the side and installs it
-//     atomically only on success; a failed reload keeps serving the
-//     last-good model set.
+//     retried with exponential backoff, bounded by Retries and ctx.
+//   - Missing files are permanent for this attempt: they are classified
+//     as ErrModelUnavailable immediately.
+//
+// Validation, the retry of a failed load once the store heals, and the
+// last-good hot reload are the lifecycle manager's.
 type Registry struct {
 	store     Store
 	retries   int
@@ -42,8 +34,6 @@ type Registry struct {
 	// sleep waits for d or until ctx is done; tests stub it to keep the
 	// backoff path instant.
 	sleep func(ctx context.Context, d time.Duration) error
-
-	group flight.Group[*core.Trained]
 }
 
 // RegistryOptions configures a Registry.
@@ -83,49 +73,9 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// Get returns the cached models for name, loading them on first use.
-// Concurrent callers share one load. Errors are returned but not cached:
-// the next Get retries the store.
-func (r *Registry) Get(ctx context.Context, name string) (*core.Trained, error) {
-	tr, err, hit := r.group.Do(name, func() (*core.Trained, error) {
-		return r.load(ctx, name)
-	})
-	if err != nil {
-		// Do not let a failed load poison the cache; the store may heal
-		// (model published, NFS back) and the next request should see it.
-		r.group.Forget(name)
-		obs.Inc("serve.model.load.failed")
-		return nil, err
-	}
-	if hit {
-		obs.Inc("serve.model.cache.hit")
-	} else {
-		obs.Inc("serve.model.cache.miss")
-	}
-	return tr, nil
-}
-
-// load is one full read+validate attempt chain against the store.
-func (r *Registry) load(ctx context.Context, name string) (*core.Trained, error) {
-	done := obs.Timer("serve.model.load")
-	defer done()
-	raw, err := r.ReadAll(ctx, name)
-	if err != nil {
-		return nil, err
-	}
-	tr, err := core.LoadTrained(bytes.NewReader(raw))
-	if err != nil {
-		// The file exists but fails structural validation (truncated,
-		// corrupt bands, version skew): retrying the same bytes cannot
-		// help.
-		return nil, fmt.Errorf("%w: model %q: %v", ErrModelUnavailable, name, err)
-	}
-	return tr, nil
-}
-
 // ReadAll returns the raw bytes of a model file under the registry's
 // retry/backoff policy — the byte-level primitive the lifecycle layer
-// version-hashes before deciding whether to re-validate and swap.
+// version-hashes and validates.
 func (r *Registry) ReadAll(ctx context.Context, name string) ([]byte, error) {
 	var lastErr error
 	for attempt := 0; attempt <= r.retries; attempt++ {
@@ -159,37 +109,3 @@ func (r *Registry) ReadAll(ctx context.Context, name string) ([]byte, error) {
 	return nil, fmt.Errorf("%w: model %q after %d attempts: %v",
 		ErrModelUnavailable, name, r.retries+1, lastErr)
 }
-
-// Install atomically places already-validated models into the cache under
-// name — the lifecycle layer's promote/rollback primitive. Subsequent
-// Gets are hits; an in-flight load's callers still receive its result.
-func (r *Registry) Install(name string, tr *core.Trained) {
-	r.group.Replace(name, tr)
-}
-
-// Forget drops the cached models for name so the next Get reloads from
-// the store (used when a versioned alias is retired).
-func (r *Registry) Forget(name string) {
-	r.group.Forget(name)
-}
-
-// Reload atomically replaces the cached models for name with a freshly
-// loaded copy. On failure the cached (last-good) models keep serving and
-// the error is returned — a bad publish never takes down a model that
-// was healthy.
-func (r *Registry) Reload(ctx context.Context, name string) error {
-	tr, err := r.load(ctx, name)
-	if err != nil {
-		obs.Inc("serve.model.reload.failed")
-		return err
-	}
-	r.group.Replace(name, tr)
-	obs.Inc("serve.model.reload.ok")
-	return nil
-}
-
-// Models returns the names currently cached, sorted.
-func (r *Registry) Models() []string { return r.group.Keys() }
-
-// Len reports the number of cached model sets.
-func (r *Registry) Len() int { return r.group.Len() }

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -18,6 +19,7 @@ import (
 	"opprox/internal/apps"
 	"opprox/internal/apps/pso"
 	"opprox/internal/core"
+	"opprox/internal/lifecycle"
 )
 
 // trainedModelJSON trains one small model set and returns its serialized
@@ -91,13 +93,18 @@ func instantSleep(r *Registry) {
 	r.sleep = func(ctx context.Context, d time.Duration) error { return ctx.Err() }
 }
 
+// The registry only reads bytes; the lifecycle manager is the model
+// cache. The load-once, store-heals, corrupt-file and last-good reload
+// cases therefore run through the manager (or the server's liveModel,
+// which classifies its errors), and the retry cases through ReadAll.
+
 func TestRegistryLoadsOnceAndCaches(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a model; skipped with -short")
 	}
 	store := newFakeStore()
 	store.files["pso.json"] = trainedModelJSON(t)
-	reg := NewRegistry(store, RegistryOptions{})
+	mgr := lifecycle.NewManager(NewRegistry(store, RegistryOptions{}), nil, lifecycle.Options{})
 
 	const workers = 16
 	var wg sync.WaitGroup
@@ -105,7 +112,7 @@ func TestRegistryLoadsOnceAndCaches(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			tr, err := reg.Get(context.Background(), "pso.json")
+			tr, _, err := mgr.Live(context.Background(), "pso.json")
 			if err != nil {
 				t.Error(err)
 			} else if tr == nil || tr.Phases != 2 {
@@ -115,28 +122,29 @@ func TestRegistryLoadsOnceAndCaches(t *testing.T) {
 	}
 	wg.Wait()
 	if n := store.opens.Load(); n != 1 {
-		t.Fatalf("store opened %d times for %d concurrent gets, want 1", n, workers)
+		t.Fatalf("store opened %d times for %d concurrent resolves, want 1", n, workers)
 	}
-	if got := reg.Models(); len(got) != 1 || got[0] != "pso.json" {
+	if got := mgr.Models(); len(got) != 1 || got[0] != "pso.json" {
 		t.Fatalf("Models = %v", got)
 	}
 }
 
 func TestRegistryRetriesTransientErrors(t *testing.T) {
-	if testing.Short() {
-		t.Skip("trains a model; skipped with -short")
-	}
 	store := newFakeStore()
-	store.files["pso.json"] = trainedModelJSON(t)
-	store.failures["pso.json"] = []error{
+	store.files["m.json"] = []byte("model bytes")
+	store.failures["m.json"] = []error{
 		errors.New("transient: connection reset"),
 		errors.New("transient: io timeout"),
 	}
 	reg := NewRegistry(store, RegistryOptions{Retries: 2})
 	instantSleep(reg)
 
-	if _, err := reg.Get(context.Background(), "pso.json"); err != nil {
+	raw, err := reg.ReadAll(context.Background(), "m.json")
+	if err != nil {
 		t.Fatalf("expected retries to recover, got %v", err)
+	}
+	if string(raw) != "model bytes" {
+		t.Fatalf("ReadAll = %q", raw)
 	}
 	if n := store.opens.Load(); n != 3 {
 		t.Fatalf("store opened %d times, want 3 (2 failures + success)", n)
@@ -151,7 +159,7 @@ func TestRegistryRetriesExhausted(t *testing.T) {
 	reg := NewRegistry(store, RegistryOptions{Retries: 1})
 	instantSleep(reg)
 
-	_, err := reg.Get(context.Background(), "m.json")
+	_, err := reg.ReadAll(context.Background(), "m.json")
 	if !errors.Is(err, ErrModelUnavailable) {
 		t.Fatalf("exhausted retries should classify as ErrModelUnavailable, got %v", err)
 	}
@@ -165,25 +173,28 @@ func TestRegistryMissingModelNoRetry(t *testing.T) {
 	reg := NewRegistry(store, RegistryOptions{Retries: 5})
 	instantSleep(reg)
 
-	_, err := reg.Get(context.Background(), "missing.json")
+	_, err := reg.ReadAll(context.Background(), "missing.json")
 	if !errors.Is(err, ErrModelUnavailable) {
 		t.Fatalf("got %v, want ErrModelUnavailable", err)
 	}
 	if n := store.opens.Load(); n != 1 {
 		t.Fatalf("store opened %d times for a missing model, want 1 (no retry)", n)
 	}
-	if reg.Len() != 0 {
-		t.Fatal("failed load left a cache entry")
+	mgr := lifecycle.NewManager(reg, nil, lifecycle.Options{})
+	if _, _, err := mgr.Live(context.Background(), "missing.json"); !errors.Is(err, ErrModelUnavailable) {
+		t.Fatalf("Live = %v, want ErrModelUnavailable", err)
+	}
+	if got := mgr.Models(); len(got) != 0 {
+		t.Fatalf("failed load left a cache entry: %v", got)
 	}
 }
 
 func TestRegistryCorruptModelNoRetryNoPanic(t *testing.T) {
 	store := newFakeStore()
 	store.files["bad.json"] = []byte(`{"version": 1, "phases":`)
-	reg := NewRegistry(store, RegistryOptions{Retries: 3})
-	instantSleep(reg)
+	srv := New(Options{Store: store, Registry: RegistryOptions{Retries: 3, RetryBase: time.Microsecond}})
 
-	_, err := reg.Get(context.Background(), "bad.json")
+	_, _, err := srv.liveModel(context.Background(), "bad.json")
 	if !errors.Is(err, ErrModelUnavailable) {
 		t.Fatalf("got %v, want ErrModelUnavailable", err)
 	}
@@ -197,9 +208,9 @@ func TestRegistryErrorNotCached(t *testing.T) {
 		t.Skip("trains a model; skipped with -short")
 	}
 	store := newFakeStore()
-	reg := NewRegistry(store, RegistryOptions{})
+	srv := New(Options{Store: store})
 
-	if _, err := reg.Get(context.Background(), "late.json"); !errors.Is(err, ErrModelUnavailable) {
+	if _, _, err := srv.liveModel(context.Background(), "late.json"); !errors.Is(err, ErrModelUnavailable) {
 		t.Fatalf("got %v, want ErrModelUnavailable", err)
 	}
 	// The model is published after the first failure; the next request
@@ -207,8 +218,8 @@ func TestRegistryErrorNotCached(t *testing.T) {
 	store.mu.Lock()
 	store.files["late.json"] = trainedModelJSON(t)
 	store.mu.Unlock()
-	if _, err := reg.Get(context.Background(), "late.json"); err != nil {
-		t.Fatalf("store healed but Get still fails: %v", err)
+	if _, _, err := srv.liveModel(context.Background(), "late.json"); err != nil {
+		t.Fatalf("store healed but the model still fails to resolve: %v", err)
 	}
 }
 
@@ -218,10 +229,10 @@ func TestRegistryReloadFallsBackToLastGood(t *testing.T) {
 	}
 	store := newFakeStore()
 	store.files["pso.json"] = trainedModelJSON(t)
-	reg := NewRegistry(store, RegistryOptions{})
-	instantSleep(reg)
+	mgr := lifecycle.NewManager(NewRegistry(store, RegistryOptions{}), nil, lifecycle.Options{})
+	ctx := context.Background()
 
-	good, err := reg.Get(context.Background(), "pso.json")
+	good, goodVer, err := mgr.Live(ctx, "pso.json")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,29 +241,34 @@ func TestRegistryReloadFallsBackToLastGood(t *testing.T) {
 	store.mu.Lock()
 	store.files["pso.json"] = []byte(`{"version": 99}`)
 	store.mu.Unlock()
-	if err := reg.Reload(context.Background(), "pso.json"); err == nil {
+	if _, err := mgr.Reload(ctx, "pso.json"); err == nil {
 		t.Fatal("reload of a corrupt file reported success")
 	}
-	cur, err := reg.Get(context.Background(), "pso.json")
+	cur, curVer, err := mgr.Live(ctx, "pso.json")
 	if err != nil {
 		t.Fatalf("last-good model lost after failed reload: %v", err)
 	}
-	if cur != good {
+	if cur != good || curVer != goodVer {
 		t.Fatal("failed reload swapped the model set")
 	}
 
-	// The good publish returns: reload must atomically install it.
-	store.mu.Lock()
-	store.files["pso.json"] = trainedModelJSON(t)
-	store.mu.Unlock()
-	if err := reg.Reload(context.Background(), "pso.json"); err != nil {
+	// A good publish with new bytes (the same model, compacted) lands:
+	// reload must atomically install it.
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, trainedModelJSON(t)); err != nil {
 		t.Fatal(err)
 	}
-	cur2, err := reg.Get(context.Background(), "pso.json")
+	store.mu.Lock()
+	store.files["pso.json"] = compact.Bytes()
+	store.mu.Unlock()
+	if changed, err := mgr.Reload(ctx, "pso.json"); err != nil || !changed {
+		t.Fatalf("reload of new good bytes = (changed=%v, %v)", changed, err)
+	}
+	cur2, cur2Ver, err := mgr.Live(ctx, "pso.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cur2 == good {
+	if cur2 == good || cur2Ver == goodVer {
 		t.Fatal("successful reload did not swap the model set")
 	}
 }
@@ -264,7 +280,7 @@ func TestRegistryContextCancellation(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := reg.Get(ctx, "m.json")
+	_, err := reg.ReadAll(ctx, "m.json")
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled (backoff must respect ctx)", err)
 	}

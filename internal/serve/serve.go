@@ -39,7 +39,6 @@ import (
 	"opprox/internal/approx"
 	"opprox/internal/core"
 	"opprox/internal/feedback"
-	"opprox/internal/flight"
 	"opprox/internal/launch"
 	"opprox/internal/lifecycle"
 	"opprox/internal/obs"
@@ -85,9 +84,9 @@ type Options struct {
 	// /v1/feedback. Nil disables rate limiting entirely; the in-flight
 	// gate and degradation ladder run regardless.
 	Admission *admission.Options
-	// MaxInFlight caps concurrent dispatch computations (the abandoned-
-	// goroutine bound after timeouts, and the ladder's load gauge).
-	// 0: DefaultMaxInFlight; negative: uncapped (no gate).
+	// MaxInFlight caps concurrent dispatch computations (and is the
+	// ladder's load gauge). 0: DefaultMaxInFlight; negative: uncapped
+	// (no gate).
 	MaxInFlight int
 	// Ladder tunes the degradation ladder's thresholds and dwell (zero
 	// value: qos defaults). Invalid thresholds panic in New — they are
@@ -122,7 +121,6 @@ type Options struct {
 // Server answers dispatch requests against a model registry. Create with
 // New; serve its Handler.
 type Server struct {
-	reg     *Registry
 	timeout time.Duration
 
 	// Closed-loop state: dispatch records awaiting feedback, the drift
@@ -135,10 +133,8 @@ type Server struct {
 	ctrl      *controller
 
 	// Dispatch acceleration: the plan cache answers repeat dispatches
-	// from cached bytes; the batcher coalesces concurrent misses into one
-	// batched Optimize pass. Both are transparent — see DESIGN.md §12.
+	// from cached bytes, transparently — see DESIGN.md §12.
 	plans *planCache
-	batch *flight.Batcher[planWork, []byte]
 
 	// Admission control: the rate limiter (nil when disabled), the
 	// in-flight computation gate (nil when uncapped), the degradation
@@ -173,7 +169,6 @@ func New(opts Options) *Server {
 		panic(err) // misconfigured thresholds are a programming error
 	}
 	s := &Server{
-		reg:           reg,
 		timeout:       opts.Timeout,
 		records:       feedback.NewRecords(opts.RecordCap),
 		detector:      feedback.NewDetector(opts.Drift),
@@ -196,7 +191,6 @@ func New(opts Options) *Server {
 	if opts.Admission != nil {
 		s.limiter = admission.NewLimiter(*opts.Admission)
 	}
-	s.batch = flight.NewBatcher(s.runPlanBatch)
 	// Every live-version swap (promote/rollback/reload) drops the old
 	// version's cached plans; a caller-provided hook still runs after.
 	lcOpts := opts.Lifecycle
@@ -238,9 +232,6 @@ func New(opts Options) *Server {
 	return s
 }
 
-// Registry exposes the model registry (tests and the reload endpoint).
-func (s *Server) Registry() *Registry { return s.reg }
-
 // Lifecycle exposes the model-lifecycle manager (tests).
 func (s *Server) Lifecycle() *lifecycle.Manager { return s.mgr }
 
@@ -252,10 +243,10 @@ func (s *Server) Lifecycle() *lifecycle.Manager { return s.mgr }
 //	POST /v1/promote   make a model's shadow version live
 //	POST /v1/rollback  restore a model's previous live version
 //	POST /v1/retrain   synchronous telemetry retrain; winner dark-launched as shadow
-//	POST /v1/reload    hot-reload cached models, last-good on failure
+//	POST /v1/reload    hot-reload resolved models, last-good on failure
 //	GET  /v1/cluster   shard topology: replicas + model ownership
 //	GET  /v1/admission admission/ladder state (POST {"force_step": N} pins it)
-//	GET  /healthz      liveness + cached-model count
+//	GET  /healthz      liveness + resolved-model count
 //	GET  /metricsz     obs.Default JSON snapshot
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -509,21 +500,14 @@ func (s *Server) cachedBody(dreq *DispatchRequest) []byte {
 	return e.body
 }
 
-// computeDispatch runs dispatchBody under the in-flight gate and the
-// request's context: the optimizer is not context-aware, so the work
-// runs in a goroutine and the request gives up (504) when the deadline
-// fires first. The gate slot is taken *before* the goroutine is
-// spawned and released by the goroutine itself, so a burst of
-// timed-out requests abandons at most Cap running computations — the
-// rest fail their Acquire and never start (the goroutine-leak fix).
-// Timed-out and completed requests feed the timeout window the ladder
-// reads as pressure.
+// computeDispatch runs dispatchBody under the in-flight gate, on the
+// request's own goroutine. A request gives up waiting for a gate slot or
+// a model load at its deadline; once its model is resolved it runs
+// Optimize to completion, and if the deadline passed before the body was
+// ready it answers 504 (the body still enters the plan cache). Timed-out
+// and completed requests feed the timeout window the ladder reads as
+// pressure.
 func (s *Server) computeDispatch(ctx context.Context, dreq *DispatchRequest) ([]byte, bool, error) {
-	type result struct {
-		body     []byte
-		degraded bool
-		err      error
-	}
 	if s.gate != nil {
 		if err := s.gate.Acquire(ctx); err != nil {
 			obs.Inc("serve.dispatch.queue_timeout")
@@ -531,36 +515,16 @@ func (s *Server) computeDispatch(ctx context.Context, dreq *DispatchRequest) ([]
 			s.timeouts.Observe(true)
 			return nil, false, err
 		}
+		defer s.gate.Release()
 	}
-	ch := make(chan result, 1)
-	go func() {
-		if s.gate != nil {
-			defer s.gate.Release()
-		}
-		body, degraded, err := s.dispatchBody(ctx, dreq)
-		ch <- result{body, degraded, err}
-	}()
-	select {
-	case r := <-ch:
-		s.timeouts.Observe(false)
-		return r.body, r.degraded, r.err
-	case <-ctx.Done():
+	body, degraded, err := s.dispatchBody(ctx, dreq)
+	if ctx.Err() != nil {
 		obs.Inc("serve.dispatch.timeout")
 		s.timeouts.Observe(true)
 		return nil, false, ctx.Err()
 	}
-}
-
-// planWork is one queued dispatch computation: the request plus the
-// live model pinned at resolution time, so every member of a batch is
-// computed against exactly the version its cache key names. ctx is the
-// submitting request's context — the batch pass sheds items whose
-// caller already gave up instead of optimizing for nobody.
-type planWork struct {
-	ctx  context.Context
-	dreq *DispatchRequest
-	tr   *core.Trained
-	ver  string
+	s.timeouts.Observe(false)
+	return body, degraded, err
 }
 
 // dispatchBody produces the serialized response for one dispatch.
@@ -568,10 +532,8 @@ type planWork struct {
 // Fast path: if the model is already resolved, the plan-cache key is
 // built into pooled scratch and looked up — a hit returns the cached
 // bytes with zero heap allocations (a test pins this). Miss path: the
-// live model is resolved (possibly degrading), then the computation is
-// coalesced through the batcher — concurrent identical dispatches
-// collapse onto one slot, concurrent distinct dispatches run as one
-// batched pass — and the result lands in the plan cache.
+// live model is resolved (possibly degrading), the plan is computed
+// against that pinned version, and the result lands in the plan cache.
 func (s *Server) dispatchBody(ctx context.Context, dreq *DispatchRequest) (body []byte, degraded bool, err error) {
 	// Re-arming the feedback loop on a hit (records.Put) happens inside
 	// cachedBody: the record may have been evicted from the FIFO store
@@ -593,63 +555,22 @@ func (s *Server) dispatchBody(ctx context.Context, dreq *DispatchRequest) (body 
 		}
 		return body, true, nil
 	}
-
-	// Coalesce the computation under the same key the plan cache uses —
-	// with the version pinned here, so a promote landing mid-batch can
-	// never mix versions within one response. Forget after Do keeps the
-	// batcher bounded (the plan cache is the durable layer) and makes
-	// errors retryable.
-	kb := planKeyPool.Get().(*planKey)
-	appendPlanKey(kb, dreq, ver)
-	key := string(kb.buf)
-	kb.release()
-	wk := planWork{ctx: ctx, dreq: dreq, tr: tr, ver: ver}
-	body, err, _ = s.batch.Do(key, wk)
-	s.batch.Forget(key)
-	if err != nil && flight.TransientContextError(err) && ctx.Err() == nil {
-		// A coalesced flight was shed on *another* caller's expired
-		// deadline; ours is alive, so retry as a fresh flight (the
-		// batcher did not cache the transient error).
-		obs.Inc("serve.batch.shed_retry")
-		body, err, _ = s.batch.Do(key, wk)
-		s.batch.Forget(key)
-	}
-	if err != nil {
+	if err := ctx.Err(); err != nil {
+		// The request already timed out or hung up: shed the work
+		// instead of optimizing for nobody.
+		obs.Inc("serve.dispatch.shed")
 		return nil, false, err
 	}
-	return body, false, nil
-}
-
-// runPlanBatch is the batcher's batch function: one pass computing every
-// pending dispatch. The computations run sequentially in the leader
-// goroutine, so the optimizer's pooled arena scratch is reused across
-// the whole batch instead of contended across goroutines. Each result
-// depends only on its own (request, pinned model) — grouping can never
-// change a body (invariant D12).
-func (s *Server) runPlanBatch(keys []string, works []planWork) ([][]byte, []error) {
-	bodies := make([][]byte, len(works))
-	errs := make([]error, len(works))
-	for i, wk := range works {
-		bodies[i], errs[i] = s.computePlan(keys[i], wk)
-	}
-	return bodies, errs
+	body, err = s.computePlan(dreq, tr, ver)
+	return body, false, err
 }
 
 // computePlan optimizes one dispatch against its pinned model version,
 // records it for the feedback loop, serializes the response, and
-// installs the bytes in the plan cache.
-func (s *Server) computePlan(key string, wk planWork) ([]byte, error) {
-	dreq, tr, ver := wk.dreq, wk.tr, wk.ver
-	if wk.ctx != nil {
-		if err := wk.ctx.Err(); err != nil {
-			// The submitting request already timed out or hung up:
-			// shed the work instead of optimizing for nobody. The
-			// context error is transient to the batcher, so a later
-			// identical dispatch recomputes instead of inheriting it.
-			obs.Inc("serve.batch.shed")
-			return nil, err
-		}
-	}
+// installs the bytes in the plan cache under that version's key, so a
+// promote landing mid-computation can never mix versions within one
+// response.
+func (s *Server) computePlan(dreq *DispatchRequest, tr *core.Trained, ver string) ([]byte, error) {
 	plan, err := launch.DispatchTrained(&dreq.JobConfig, tr)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrOptimize, err)
@@ -706,7 +627,10 @@ func (s *Server) computePlan(key string, wk planWork) ([]byte, error) {
 	// Only now, with the exact bytes a cold request just received, does
 	// the plan enter the cache — a hit replays these bytes verbatim, so
 	// cache transparency (invariant D10) holds by construction.
-	s.plans.put(key, dreq.ModelPath, body, rec)
+	kb := planKeyPool.Get().(*planKey)
+	appendPlanKey(kb, dreq, ver)
+	s.plans.put(string(kb.buf), dreq.ModelPath, body, rec)
+	kb.release()
 	return body, nil
 }
 
@@ -731,9 +655,9 @@ func accurateBody(dreq *DispatchRequest, reason string) ([]byte, error) {
 }
 
 // liveModel resolves the live version of a model through the lifecycle
-// manager (which installs it into the registry cache). Load and
-// validation failures classify as ErrModelUnavailable — same contract as
-// the registry — while context errors pass through for the 504 path.
+// manager, the one model cache. Load and validation failures classify
+// as ErrModelUnavailable — same contract as the registry — while
+// context errors pass through for the 504 path.
 func (s *Server) liveModel(ctx context.Context, name string) (*core.Trained, string, error) {
 	tr, ver, err := s.mgr.Live(ctx, name)
 	if err != nil {
@@ -747,7 +671,7 @@ func (s *Server) liveModel(ctx context.Context, name string) (*core.Trained, str
 }
 
 // reloadRequest is the body of POST /v1/reload. An empty body (or empty
-// model) reloads every cached model.
+// model) reloads every resolved model.
 type reloadRequest struct {
 	Model string `json:"model,omitempty"`
 }
@@ -781,7 +705,7 @@ func (s *Server) handleReload(w http.ResponseWriter, req *http.Request) {
 	if s.proxyToOwner(w, req, rreq.Model, "/v1/reload", raw) {
 		return
 	}
-	names := s.reg.Models()
+	names := s.mgr.Models()
 	if rreq.Model != "" {
 		names = []string{rreq.Model}
 	}
@@ -814,7 +738,7 @@ func (s *Server) handleReload(w http.ResponseWriter, req *http.Request) {
 func (s *Server) handleHealth(w http.ResponseWriter, req *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status": "ok",
-		"models": s.reg.Len(),
+		"models": len(s.mgr.Models()),
 	})
 }
 

@@ -38,6 +38,15 @@ go build ./...
 echo "== go test -race =="
 go test -race ./...
 
+echo "== serving concurrency tests (-race -count=3) =="
+# Every plan-cache miss plans on its request's own goroutine, so these
+# are the tests a scheduling-dependent bug would flake: byte-identity
+# under concurrent dispatch, the wedged-store bound, the 504 deadline
+# path, and concurrent Optimize on one model against a serial pass.
+go test -race -count=3 ./internal/serve \
+    -run 'TestServingConformance|TestGateBoundsAbandonedGoroutines|TestServeRequestTimeout'
+go test -race -count=3 ./internal/core -run 'TestOptimizeConcurrentMatchesSerial'
+
 echo "== opprox-serve smoke =="
 # Build the server, start it on an ephemeral port, run one dispatch and
 # one degraded dispatch, shut down cleanly.

@@ -24,6 +24,9 @@ go build -o "$tmp/opprox-serve" ./cmd/opprox-serve
 mkdir "$tmp/models"
 "$tmp/opprox" -app pso -phases 2 -budget 10 -save "$tmp/models/pso.json" >/dev/null
 
+# The address poll below reads the log; create it first, since the
+# background redirect may not have opened it yet.
+: >"$tmp/serve.log"
 # A tiny rotation size so the drill exercises segment replay.
 "$tmp/opprox-serve" -addr 127.0.0.1:0 -models "$tmp/models" \
     -feedback-log "$tmp/telemetry.jsonl" -feedback-log-max-bytes 2048 \

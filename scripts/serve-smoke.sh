@@ -29,6 +29,9 @@ go build -o "$tmp/opprox-serve" ./cmd/opprox-serve
 mkdir "$tmp/models"
 "$tmp/opprox" -app pso -phases 2 -budget 10 -save "$tmp/models/pso.json" >/dev/null
 
+# The address poll below reads the log; create it first, since the
+# background redirect may not have opened it yet.
+: >"$tmp/serve.log"
 # Default drift and retrain thresholds; auto-promotion off so the manual
 # /v1/promote path is what the smoke exercises.
 "$tmp/opprox-serve" -addr 127.0.0.1:0 -models "$tmp/models" \
@@ -146,6 +149,7 @@ body='{"app": "pso", "budget": 10, "model_path": "pso.json"}'
 resp=$(curl -sf -X POST -H 'Content-Type: application/json' -d "$body" "http://$addr/v1/dispatch")
 plain_plan=$(plan_of "$resp")
 
+: >"$tmp/serve2.log"
 "$tmp/opprox-serve" -addr 127.0.0.1:0 -models "$tmp/models" \
     2>"$tmp/serve2.log" &
 pid2=$!
@@ -187,6 +191,7 @@ if ! wait "$pid"; then
 fi
 pid=""
 
+: >"$tmp/serve3.log"
 # --- overload drill: admission control + the degradation ladder ---
 # A third server with a tiny per-client budget and a lockout. The drill
 # first bursts past the token bucket (429 + Retry-After), then walks the
