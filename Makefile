@@ -11,12 +11,11 @@ test:
 check:
 	sh scripts/check.sh
 
-# bench runs the kernel benchmark set through the trajectory harness and
-# writes BENCH_<pr>.json (see scripts/bench.sh). The root experiment-suite
-# benchmarks are excluded by design; run them directly with
-# `go test -bench=. .` when profiling end-to-end training.
+# bench: the working tree against HEAD~1 on the kernel benchmarks (cmd/opprox-ab).
 bench:
-	sh scripts/bench.sh
+	go run ./cmd/opprox-ab -base HEAD~1 -bench . ./internal/ml/linalg ./internal/ml/poly \
+		./internal/ml/mic ./internal/ml/tree ./internal/core ./internal/feedback ./internal/serve \
+		./internal/shard ./internal/admission ./internal/retrain
 
 # serve runs the dispatch service against the MODELS directory (default
 # ./models). Train model files into it first, e.g.:

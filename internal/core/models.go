@@ -879,19 +879,6 @@ func (t *Trained) ModelQuality() (speedupR2, degR2 float64) {
 	return speedupR2 / float64(n), degR2 / float64(n)
 }
 
-// DebugCI renders the per-phase confidence half-widths (log scale) — a
-// development aid.
-func (t *Trained) DebugCI() string {
-	out := ""
-	for _, sig := range t.classSigs() {
-		for _, pm := range t.Classes[sig].Phase {
-			out += fmt.Sprintf("class %q phase %d: spdBands=%v degBands=%v spdR2=%.3f degR2=%.3f ROI=%.3f\n",
-				sig, pm.Phase, pm.SpeedupCI.Bands, pm.DegCI.Bands, pm.SpeedupR2, pm.DegR2, pm.ROI)
-		}
-	}
-	return out
-}
-
 // classSigs returns the trained control-flow class signatures in sorted
 // order, so every per-class reduction and rendering is deterministic.
 func (t *Trained) classSigs() []string {

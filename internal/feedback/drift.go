@@ -239,7 +239,7 @@ func (d *Detector) Observe(model string, samples []Sample) (State, []Transition)
 			}
 		}
 	case Stale:
-		// Terminal until Reset: a stale model must be replaced, not
+		// Held until Reset or Rearm: a stale model must be replaced, not
 		// quietly rehabilitated by a lucky window.
 	}
 	obs.Set("feedback.state."+model, float64(tr.state))
@@ -274,6 +274,21 @@ func (d *Detector) Medians(model string, phases int) (spd, deg []float64) {
 		deg[ph] = tr.phases[ph].deg.median()
 	}
 	return spd, deg
+}
+
+// Rearm moves a stale model back to Drifting with a fresh drift age —
+// used when a retrain triggered by the stale transition shipped nothing —
+// so drift that persists escalates to Stale, and a retrain, again. A
+// model that is no longer stale is left alone.
+func (d *Detector) Rearm(model string) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if tr := d.models[model]; tr != nil && tr.state == Stale {
+		tr.state, tr.driftAge = Drifting, 0
+		obs.Inc("feedback.drift.rearmed")
+		obs.LogEvent("feedback.drift", "%s: %s -> %s (re-armed)", model, Stale, Drifting)
+		obs.Set("feedback.state."+model, float64(Drifting))
+	}
 }
 
 // Reset drops a model's tracker — used when a new live version is

@@ -204,7 +204,26 @@ func TestDetectorStaleAndReset(t *testing.T) {
 	if st != Stale {
 		t.Fatalf("state %v after persistent drift, want stale", st)
 	}
-	// Stale is terminal: even a clean window does not rehabilitate.
+	// Rearm (a retrain shipped nothing) restarts the drift age: the
+	// persisting drift needs StaleAfter more samples to go stale again.
+	d.Rearm("m")
+	if got := d.State("m"); got != Drifting {
+		t.Fatalf("Rearm left state %v, want drifting", got)
+	}
+	for i := 1; i <= 3; i++ {
+		st, _ = d.Observe("m", []Sample{exceedSample(0, 1)})
+		if i < 3 && st != Drifting {
+			t.Fatalf("re-armed model %v after %d samples, want drifting", st, i)
+		}
+	}
+	if st != Stale {
+		t.Fatalf("state %v after re-armed drift persisted, want stale", st)
+	}
+	d.Rearm("x")
+	if got := d.State("x"); got != Healthy {
+		t.Fatalf("Rearm moved an unseen model to %v", got)
+	}
+	// Stale holds otherwise: even a clean window does not rehabilitate.
 	for i := 0; i < 8; i++ {
 		st, _ = d.Observe("m", []Sample{inBandSample(0)})
 	}

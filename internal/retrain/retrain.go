@@ -68,9 +68,16 @@ func (o Options) withDefaults() Options {
 var (
 	// ErrInsufficientData: the telemetry log has too few usable rows.
 	ErrInsufficientData = errors.New("retrain: not enough telemetry rows")
-	// ErrNoImprovement: no candidate beat the live model on the holdout.
+	// ErrNoImprovement: no candidate beat the live model on the holdout
+	// by minHoldoutGain.
 	ErrNoImprovement = errors.New("retrain: no candidate beat the live model")
 )
+
+// minHoldoutGain is the fraction by which a candidate's holdout error
+// must undercut the live model's to ship. A smaller edge is within the
+// holdout's noise, and shipping it would let each re-armed stale
+// escalation promote again within one drift regime.
+const minHoldoutGain = 0.05
 
 // Candidate records one retrain strategy's outcome: either a built
 // model (Version + holdout error) or the reason it was infeasible.
@@ -201,7 +208,7 @@ func Retrain(liveRaw []byte, m *Matrix, opts Options) (*Result, error) {
 			winner = i
 		}
 	}
-	if winner < 0 || res.Candidates[winner].HoldoutErr >= res.LiveHoldoutErr {
+	if winner < 0 || res.Candidates[winner].HoldoutErr >= (1-minHoldoutGain)*res.LiveHoldoutErr {
 		obs.Inc("retrain.no_improvement")
 		return res, fmt.Errorf("%w: live holdout err %.4g over %d rows", ErrNoImprovement, res.LiveHoldoutErr, len(holdout))
 	}

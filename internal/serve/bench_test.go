@@ -53,11 +53,10 @@ func BenchmarkDispatchCold(b *testing.B) {
 	}
 }
 
-// BenchmarkDispatchCoalesced is the concurrent uncached burst: parallel
-// identical dispatches with the plan cache disabled, each computing its
-// own plan on its own goroutine. (The name predates the removal of
-// miss coalescing; BENCH_10.json tracks it under this name.)
-func BenchmarkDispatchCoalesced(b *testing.B) {
+// BenchmarkDispatchConcurrentCold is the concurrent uncached burst:
+// parallel identical dispatches with the plan cache disabled, each
+// computing its own plan on its own goroutine.
+func BenchmarkDispatchConcurrentCold(b *testing.B) {
 	s, dreq := benchServer(b, -1)
 	ctx := context.Background()
 	b.ReportAllocs()

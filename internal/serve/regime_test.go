@@ -24,11 +24,21 @@ import (
 // at most one promotion: promotions never outnumber regime changes.
 // Every response is a 200 with finite, unsaturated numbers. Background
 // retrains are awaited through /v1/models, so the replay is a pure
-// function of the seed.
+// function of the seed. At StaleAfter 16 the first retrain has too few
+// rows and ships nothing; the detector must re-arm so the persisting
+// drift triggers another one instead of leaving the model stale.
 func TestMultiRegimeReplayPromotionsBounded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a model; skipped with -short")
 	}
+	for _, staleAfter := range []int{40, 16} {
+		t.Run(fmt.Sprintf("StaleAfter%d", staleAfter), func(t *testing.T) {
+			replayRegimes(t, staleAfter)
+		})
+	}
+}
+
+func replayRegimes(t *testing.T, staleAfter int) {
 	store := newFakeStore()
 	store.files["pso.json"] = trainedModelJSON(t)
 	flog, err := feedback.OpenLog(filepath.Join(t.TempDir(), "telemetry.jsonl"), false)
@@ -39,7 +49,7 @@ func TestMultiRegimeReplayPromotionsBounded(t *testing.T) {
 	ts := httptest.NewServer(New(Options{
 		Store:       store,
 		Registry:    RegistryOptions{RetryBase: time.Microsecond},
-		Drift:       feedback.Options{StaleAfter: 40},
+		Drift:       feedback.Options{StaleAfter: staleAfter},
 		FeedbackLog: flog,
 		Retrain:     true,
 		Proactive:   true,
@@ -122,8 +132,8 @@ func TestMultiRegimeReplayPromotionsBounded(t *testing.T) {
 	if promotions > regimeChanges {
 		t.Fatalf("%d promotions over %d regime changes", promotions, regimeChanges)
 	}
-	if promotions == 0 {
-		t.Fatal("no retrained shadow was ever promoted: the replay no longer exercises the loop")
+	if promotions == 0 || retrains < 2 {
+		t.Fatal("fewer than two retrains or no promotion: the replay no longer exercises the loop")
 	}
 }
 

@@ -3,7 +3,7 @@ package serve
 // The retraining endpoint and trigger wiring. The pipeline itself lives
 // in internal/retrain; this file maps it onto the HTTP API and the
 // serving error taxonomy, and fires it in the background when a model's
-// drift state goes terminal (stale).
+// drift state goes stale.
 
 import (
 	"bytes"
@@ -88,7 +88,9 @@ func (s *Server) handleRetrain(w http.ResponseWriter, req *http.Request) {
 // a model's drift state to stale — calibration alone stopped tracking
 // reality, which is exactly the regime retraining exists for. TryRun
 // coalesces: further stale signals during a long retrain are dropped,
-// not queued. Returns whether a run was started.
+// not queued. A run that ships nothing (no candidate won, or too few
+// rows) re-arms the detector, so persisting drift triggers another run.
+// Returns whether a run was started.
 func (s *Server) maybeRetrain(model string) bool {
 	if s.retrainer == nil {
 		return false
@@ -104,6 +106,9 @@ func (s *Server) maybeRetrain(model string) bool {
 		case errors.Is(err, lifecycle.ErrIdenticalToLive):
 			// A raced promote already installed the winner.
 		default:
+			if errors.Is(err, retrain.ErrNoImprovement) || errors.Is(err, retrain.ErrInsufficientData) {
+				s.detector.Rearm(model)
+			}
 			obs.Inc("serve.retrain.failed")
 			obs.LogEvent("serve.retrain", "%s: %v", model, err)
 		}

@@ -63,21 +63,14 @@ echo "== opprox-serve retrain smoke =="
 # roll back — with no 5xx anywhere in the drill.
 sh scripts/retrain-smoke.sh
 
-# Opt-in perf gate: BENCH=1 re-runs the kernel benchmark set and fails on
-# a >20% ns/op regression against the committed trajectory file. Off by
-# default because benchmark wall time dwarfs the rest of the gate and
-# shared CI machines are noisy.
+# Opt-in perf gate (~26 min on 2 vCPUs): BENCH=1 runs `make bench`, paired runs of the
+# kernel benchmarks against HEAD~1 (cmd/opprox-ab); a worse verdict fails.
 if [ "${BENCH:-0}" = "1" ]; then
-    echo "== bench regression (>20% ns/op fails) =="
-    go run ./cmd/opprox-bench -against "BENCH_${PR:-10}.json" -max 0.20
+    echo "== bench A/B against HEAD~1 =="
+    make -s bench
 fi
 
-# Size report: the two numbers the roadmap's north star tracks from
-# change to change (informational; never fails the gate).
 echo "== size =="
-lines=$(find internal -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)
-flags=$(go run ./cmd/opprox-serve -h 2>&1 | grep -c '^  -')
-echo "internal/ non-test Go lines: $lines"
-echo "opprox-serve flags: $flags"
+sh scripts/size.sh
 
 echo "check: all green"
