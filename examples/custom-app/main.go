@@ -49,62 +49,83 @@ func (heatApp) QoS(exact, approximate []float64) (float64, error) {
 	return 100 * sum / float64(len(exact)), nil
 }
 
-func (a heatApp) Run(p opprox.Params, sched opprox.Schedule, baselineIters int) (opprox.Result, error) {
-	if err := sched.Validate(a.Blocks()); err != nil {
-		return opprox.Result{}, err
-	}
+// Start validates the input and returns the rod before the first Jacobi
+// sweep.
+func (a heatApp) Start(p opprox.Params) (opprox.State, error) {
 	n := int(p.Vector(a.Params())[0])
 	if n < 8 {
-		return opprox.Result{}, fmt.Errorf("heat: need at least 8 cells")
+		return nil, fmt.Errorf("heat: need at least 8 cells")
 	}
-	u := make([]float64, n)
-	next := make([]float64, n)
-	u[0], u[n-1] = 1, 0 // hot left end, cold right end
+	s := &heatState{u: make([]float64, n), next: make([]float64, n), residual: 1, cachedResidual: 1}
+	s.u[0], s.u[n-1] = 1, 0 // hot left end, cold right end
+	return s, nil
+}
 
-	var rec opprox.Recorder
-	const maxIters = 2500
-	residual, cachedResidual := 1.0, 1.0
-	for iter := 0; iter < maxIters; iter++ {
-		rec.BeginIteration()
-		phase := opprox.PhaseOf(iter, baselineIters, sched.Phases)
-		levels := sched.LevelsAt(phase)
+// heatState is the solver paused between Jacobi iterations.
+type heatState struct {
+	u, next                  []float64
+	residual, cachedResidual float64
+	done                     bool
+	rec                      opprox.Recorder
+}
 
-		// AB 1: the Jacobi sweep, perforated over interior cells; skipped
-		// cells keep their previous value one more iteration.
-		copy(next, u)
-		updated := opprox.PerforateRotating(n-2, levels[0], iter, func(k int) {
-			i := k + 1
-			next[i] = 0.5 * (u[i-1] + u[i+1])
-		})
-		u, next = next, u
-		rec.Call("stencil", uint64(updated*4))
+const maxIters = 2500
 
-		// AB 2: the convergence residual, memoized across iterations.
-		if iter%(levels[1]+1) == 0 {
-			residual = 0
-			for i := 1; i < n-1; i++ {
-				residual += math.Abs(0.5*(u[i-1]+u[i+1]) - u[i])
-			}
-			cachedResidual = residual
-			rec.Call("residual", uint64(n*3))
-		} else {
-			residual = cachedResidual
-			rec.Call("residual", 2)
-		}
-		rec.Overhead(uint64(n))
-
-		if residual < 1e-4*float64(n) {
-			break
-		}
+// Step runs one Jacobi iteration at the levels of the phase it falls in.
+func (s *heatState) Step(sched opprox.Schedule, baselineIters int) bool {
+	iter := s.rec.Iterations()
+	if s.done || iter >= maxIters {
+		return false
 	}
-	out := make([]float64, n)
-	copy(out, u)
+	u, next, n := s.u, s.next, len(s.u)
+	s.rec.BeginIteration()
+	levels := sched.LevelsAt(opprox.PhaseOf(iter, baselineIters, sched.Phases))
+
+	// AB 1: the Jacobi sweep, perforated over interior cells; skipped
+	// cells keep their previous value one more iteration.
+	copy(next, u)
+	updated := opprox.PerforateRotating(n-2, levels[0], iter, func(k int) {
+		i := k + 1
+		next[i] = 0.5 * (u[i-1] + u[i+1])
+	})
+	s.u, s.next = next, u
+	u = s.u
+	s.rec.Call("stencil", uint64(updated*4))
+
+	// AB 2: the convergence residual, memoized across iterations.
+	if iter%(levels[1]+1) == 0 {
+		s.residual = 0
+		for i := 1; i < n-1; i++ {
+			s.residual += math.Abs(0.5*(u[i-1]+u[i+1]) - u[i])
+		}
+		s.cachedResidual = s.residual
+		s.rec.Call("residual", uint64(n*3))
+	} else {
+		s.residual = s.cachedResidual
+		s.rec.Call("residual", 2)
+	}
+	s.rec.Overhead(uint64(n))
+	s.done = s.residual < 1e-4*float64(n)
+	return true
+}
+
+// Clone copies the run so the copy steps independently.
+func (s *heatState) Clone() opprox.State {
+	c := *s
+	c.u = append([]float64(nil), s.u...)
+	c.next = append([]float64(nil), s.next...)
+	c.rec = s.rec.Clone()
+	return &c
+}
+
+// Result reports the temperature field and the work accounting.
+func (s *heatState) Result() opprox.Result {
 	return opprox.Result{
-		Output:     out,
-		Work:       rec.TotalWork(),
-		OuterIters: rec.Iterations(),
+		Output:     append([]float64(nil), s.u...),
+		Work:       s.rec.TotalWork(),
+		OuterIters: s.rec.Iterations(),
 		CtxSig:     "stencil>residual",
-	}, nil
+	}
 }
 
 func main() {

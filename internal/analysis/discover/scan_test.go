@@ -109,23 +109,23 @@ func TestAppsAnchors(t *testing.T) {
 		app, block, file string
 		line             int
 	}{
-		{"pso", "fitness", "internal/apps/pso/pso.go", 219},
-		{"pso", "velocity", "internal/apps/pso/pso.go", 185},
-		{"pso", "position", "internal/apps/pso/pso.go", 205},
-		{"lulesh", "forces", "internal/apps/lulesh/lulesh.go", 208},
-		{"lulesh", "positions", "internal/apps/lulesh/lulesh.go", 227},
-		{"lulesh", "strain", "internal/apps/lulesh/lulesh.go", 266},
-		{"lulesh", "timeconstraints", "internal/apps/lulesh/lulesh.go", 175},
-		{"comd", "position", "internal/apps/comd/comd.go", 217},
-		{"comd", "force", "internal/apps/comd/comd.go", 179},
-		{"comd", "velocity", "internal/apps/comd/comd.go", 237},
-		{"tracker", "features", "internal/apps/tracker/tracker.go", 170},
-		{"tracker", "likelihood", "internal/apps/tracker/tracker.go", 187},
-		{"tracker", "minparticles", "internal/apps/tracker/tracker.go", 229},
-		{"tracker", "layers", "internal/apps/tracker/tracker.go", 239},
+		{"pso", "fitness", "internal/apps/pso/pso.go", 242},
+		{"pso", "velocity", "internal/apps/pso/pso.go", 208},
+		{"pso", "position", "internal/apps/pso/pso.go", 228},
+		{"lulesh", "forces", "internal/apps/lulesh/lulesh.go", 235},
+		{"lulesh", "positions", "internal/apps/lulesh/lulesh.go", 254},
+		{"lulesh", "strain", "internal/apps/lulesh/lulesh.go", 293},
+		{"lulesh", "timeconstraints", "internal/apps/lulesh/lulesh.go", 196},
+		{"comd", "position", "internal/apps/comd/comd.go", 244},
+		{"comd", "force", "internal/apps/comd/comd.go", 203},
+		{"comd", "velocity", "internal/apps/comd/comd.go", 264},
+		{"tracker", "features", "internal/apps/tracker/tracker.go", 200},
+		{"tracker", "likelihood", "internal/apps/tracker/tracker.go", 218},
+		{"tracker", "minparticles", "internal/apps/tracker/tracker.go", 261},
+		{"tracker", "layers", "internal/apps/tracker/tracker.go", 271},
 		{"vidpipe", "edge", "internal/apps/vidpipe/vidpipe.go", 165},
 		{"vidpipe", "deflate", "internal/apps/vidpipe/vidpipe.go", 195},
-		{"vidpipe", "encode", "internal/apps/vidpipe/vidpipe.go", 281},
+		{"vidpipe", "encode", "internal/apps/vidpipe/vidpipe.go", 307},
 	}
 	rep := scan(t, discover.Options{}, "./internal/apps/...")
 	for _, a := range anchors {

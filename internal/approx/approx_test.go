@@ -187,6 +187,36 @@ func TestPhaseOf(t *testing.T) {
 	}
 }
 
+// PhaseStart inverts PhaseOf at every phase boundary, including a zero
+// baseline, a baseline below the phase count and one the phase count
+// does not divide.
+func TestPhaseStartInvertsPhaseOf(t *testing.T) {
+	check := func(baseline, phases int) {
+		if PhaseStart(0, baseline, phases) != 0 {
+			t.Fatalf("PhaseStart(0, %d, %d) = %d, want 0", baseline, phases, PhaseStart(0, baseline, phases))
+		}
+		for ph := 1; ph < phases; ph++ {
+			s := PhaseStart(ph, baseline, phases)
+			if got := PhaseOf(s, baseline, phases); got != ph {
+				t.Fatalf("baseline %d, %d phases: PhaseOf(PhaseStart(%d)=%d) = %d", baseline, phases, ph, s, got)
+			}
+			if got := PhaseOf(s-1, baseline, phases); got != ph-1 {
+				t.Fatalf("baseline %d, %d phases: PhaseOf(PhaseStart(%d)-1=%d) = %d, want %d", baseline, phases, ph, s-1, got, ph-1)
+			}
+		}
+	}
+	for _, c := range [][2]int{{0, 4}, {0, 1}, {2, 4}, {3, 8}, {10, 4}, {10, 3}, {97, 8}, {120, 4}, {1, 2}} {
+		check(c[0], c[1])
+	}
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 500; i++ {
+		check(rng.Intn(3000), 1+rng.Intn(16))
+	}
+	if PhaseStart(7, 10, 4) != PhaseStart(3, 10, 4) {
+		t.Fatal("phases past the last should clamp to the last")
+	}
+}
+
 func TestPerforate(t *testing.T) {
 	var idx []int
 	n := Perforate(10, 0, func(i int) { idx = append(idx, i) })

@@ -107,14 +107,7 @@ func PhaseOf(iter, baselineIters, phases int) int {
 	if phases <= 1 {
 		return 0
 	}
-	if baselineIters < 1 {
-		baselineIters = 1
-	}
-	size := baselineIters / phases
-	if size < 1 {
-		size = 1
-	}
-	p := iter / size
+	p := iter / phaseSize(baselineIters, phases)
 	if p >= phases {
 		p = phases - 1
 	}
@@ -122,4 +115,28 @@ func PhaseOf(iter, baselineIters, phases int) int {
 		p = 0
 	}
 	return p
+}
+
+// PhaseStart is the inverse of PhaseOf: the first iteration of phase ph
+// (clamped to [0, phases-1]) under the same layout, so
+// PhaseOf(PhaseStart(ph)) == ph and PhaseOf(PhaseStart(ph)-1) == ph-1.
+func PhaseStart(ph, baselineIters, phases int) int {
+	if phases <= 1 || ph <= 0 {
+		return 0
+	}
+	if ph >= phases {
+		ph = phases - 1
+	}
+	return ph * phaseSize(baselineIters, phases)
+}
+
+// phaseSize is the iteration count of every phase but the last.
+func phaseSize(baselineIters, phases int) int {
+	if baselineIters < 1 {
+		baselineIters = 1
+	}
+	if size := baselineIters / phases; size > 1 {
+		return size
+	}
+	return 1
 }

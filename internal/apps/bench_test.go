@@ -17,7 +17,7 @@ func BenchmarkGoldenRuns(b *testing.B) {
 			sched := approx.AccurateSchedule(len(a.Blocks()))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := a.Run(p, sched, 0); err != nil {
+				if _, err := apps.Run(a, p, sched, 0); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -35,7 +35,7 @@ func BenchmarkMaxApproxRuns(b *testing.B) {
 			for i, blk := range a.Blocks() {
 				cfg[i] = blk.MaxLevel
 			}
-			g, err := a.Run(p, approx.AccurateSchedule(len(a.Blocks())), 0)
+			g, err := apps.Run(a, p, approx.AccurateSchedule(len(a.Blocks())), 0)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -43,7 +43,7 @@ func BenchmarkMaxApproxRuns(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := a.Run(p, sched, g.OuterIters); err != nil {
+				if _, err := apps.Run(a, p, sched, g.OuterIters); err != nil {
 					b.Fatal(err)
 				}
 			}

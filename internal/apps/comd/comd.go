@@ -43,6 +43,8 @@ const (
 	initTemp  = 0.08 // background temperature; the hot spot is 20x hotter
 	maxSpeed  = 25.0
 
+	maxWraps = 1024 // see wrap1
+
 	costPair     = 6
 	costPosition = 3
 	costVelocity = 3
@@ -94,17 +96,27 @@ type vec3 struct{ x, y, z float64 }
 func (v vec3) add(o vec3) vec3      { return vec3{v.x + o.x, v.y + o.y, v.z + o.z} }
 func (v vec3) scale(s float64) vec3 { return vec3{v.x * s, v.y * s, v.z * s} }
 
-// Run implements apps.App.
-func (a *App) Run(p apps.Params, sched approx.Schedule, baselineIters int) (apps.Result, error) {
-	if err := sched.Validate(a.Blocks()); err != nil {
-		return apps.Result{}, err
-	}
+// state is one CoMD run between timesteps. Every random draw happens in
+// Start, so a clone needs no random stream.
+type state struct {
+	n, steps     int
+	box, cutoff2 float64
+	velocityMax  int // MaxLevel of the velocity block
+
+	pos, posU, vel, force []vec3
+	peAtom                []float64
+	rec                   trace.Recorder
+}
+
+// Start implements apps.App: the jittered lattice, the hot-spot
+// velocities and the exact initial forces.
+func (a *App) Start(p apps.Params) (apps.State, error) {
 	pv := p.Vector(a.Params())
 	cells := int(pv[0])
 	lat := pv[1]
 	steps := int(pv[2])
 	if cells < 1 || lat <= 0 || steps < 1 {
-		return apps.Result{}, fmt.Errorf("comd: invalid parameters cells=%d lattice=%g timesteps=%d", cells, lat, steps)
+		return nil, fmt.Errorf("comd: invalid parameters cells=%d lattice=%g timesteps=%d", cells, lat, steps)
 	}
 	rng := rand.New(rand.NewSource(apps.Seed(a.Name(), p)))
 
@@ -116,7 +128,6 @@ func (a *App) Run(p apps.Params, sched approx.Schedule, baselineIters int) (apps
 	if half := box / 2; cutoff > half {
 		cutoff = half
 	}
-	cutoff2 := cutoff * cutoff
 
 	// Jittered lattice: small random displacements model point defects and
 	// make the dynamics anharmonic enough that perturbations grow instead
@@ -159,111 +170,144 @@ func (a *App) Run(p apps.Params, sched approx.Schedule, baselineIters int) (apps
 		vel[i] = vel[i].add(mom.scale(-1))
 	}
 
-	force := make([]vec3, n)
-	peAtom := make([]float64, n)
-	computeForces := func(active func(i int) bool) int {
-		evaluated := 0
-		for i := 0; i < n; i++ {
-			if !active(i) {
-				continue // perforated: keep previous force and PE share
-			}
-			var f vec3
-			pe := 0.0
-			for j := 0; j < n; j++ {
-				if j == i {
-					continue
-				}
-				dx := minImage(pos[i].x-pos[j].x, box)
-				dy := minImage(pos[i].y-pos[j].y, box)
-				dz := minImage(pos[i].z-pos[j].z, box)
-				r2 := dx*dx + dy*dy + dz*dz
-				if r2 > cutoff2 || r2 < 1e-12 {
-					continue
-				}
-				inv2 := ljSigma * ljSigma / r2
-				inv6 := inv2 * inv2 * inv2
-				// LJ: U = 4ε(r⁻¹² - r⁻⁶); F = 24ε(2r⁻¹² - r⁻⁶)/r².
-				fmag := 24 * ljEpsilon * (2*inv6*inv6 - inv6) / r2
-				f = f.add(vec3{fmag * dx, fmag * dy, fmag * dz})
-				pe += 2 * ljEpsilon * (inv6*inv6 - inv6) // half of 4ε(...): pair shared
-			}
-			force[i] = f
-			peAtom[i] = pe
-			evaluated++
-		}
-		return evaluated
+	s := &state{
+		n: n, steps: steps, box: box, cutoff2: cutoff * cutoff,
+		velocityMax: a.Blocks()[BlockVelocity].MaxLevel,
+		pos:         pos, posU: posU, vel: vel,
+		force:  make([]vec3, n),
+		peAtom: make([]float64, n),
 	}
-	computeForces(func(int) bool { return true }) // initial forces (exact)
+	s.computeForces(s.force, s.peAtom, func(int) bool { return true }) // initial forces (exact)
+	return s, nil
+}
 
-	var rec trace.Recorder
-	for step := 0; step < steps; step++ {
-		rec.BeginIteration()
-		phase := approx.PhaseOf(step, baselineIters, sched.Phases)
-		levels := sched.LevelsAt(phase)
-
-		// AB: first velocity half-kick (always runs for every atom).
-		for i := 0; i < n; i++ {
-			vel[i] = clampSpeed(vel[i].add(force[i].scale(0.5 * dt / mass)))
+// computeForces evaluates the Lennard-Jones force and potential-energy
+// share of every active atom into force and pe; inactive (perforated)
+// atoms keep their previous entries.
+func (s *state) computeForces(force []vec3, pe []float64, active func(i int) bool) int {
+	n, pos, box := s.n, s.pos, s.box
+	evaluated := 0
+	for i := 0; i < n; i++ {
+		if !active(i) {
+			continue // perforated: keep previous force and PE share
 		}
-
-		// AB: position update. The full velocity-Verlet update advances
-		// r += v·dt + ½(f/m)·dt²; perforated atoms drop the acceleration
-		// term (first-order drift) — a tiny per-step error that trajectory
-		// divergence amplifies over the remaining run.
-		posStride := levels[BlockPosition] + 1
-		full := 0
-		for i := 0; i < n; i++ {
-			d := vel[i].scale(dt)
-			if (i+step)%posStride == 0 {
-				d = d.add(force[i].scale(0.5 * dt * dt / mass))
-				full++
+		var f vec3
+		e := 0.0
+		for j := 0; j < n; j++ {
+			if j == i {
+				continue
 			}
-			pos[i] = wrap(pos[i].add(d), box)
-			posU[i] = posU[i].add(d)
+			dx := minImage(pos[i].x-pos[j].x, box)
+			dy := minImage(pos[i].y-pos[j].y, box)
+			dz := minImage(pos[i].z-pos[j].z, box)
+			r2 := dx*dx + dy*dy + dz*dz
+			if r2 > s.cutoff2 || r2 < 1e-12 {
+				continue
+			}
+			inv2 := ljSigma * ljSigma / r2
+			inv6 := inv2 * inv2 * inv2
+			// LJ: U = 4ε(r⁻¹² - r⁻⁶); F = 24ε(2r⁻¹² - r⁻⁶)/r².
+			fmag := 24 * ljEpsilon * (2*inv6*inv6 - inv6) / r2
+			f = f.add(vec3{fmag * dx, fmag * dy, fmag * dz})
+			e += 2 * ljEpsilon * (inv6*inv6 - inv6) // half of 4ε(...): pair shared
 		}
-		rec.Call("position", uint64((n+full)*costPosition))
+		force[i] = f
+		pe[i] = e
+		evaluated++
+	}
+	return evaluated
+}
 
-		// AB: force computation (rotating perforation over atoms): a
-		// skipped atom coasts on its previous force until its next turn.
-		stride := levels[BlockForce] + 1
-		evaluated := computeForces(func(i int) bool { return (i+step)%stride == 0 })
-		rec.Call("force", uint64(evaluated*n*costPair))
+// Step implements apps.State: one velocity-Verlet timestep.
+func (s *state) Step(sched approx.Schedule, baselineIters int) bool {
+	step := s.rec.Iterations()
+	if step >= s.steps {
+		return false
+	}
+	n, pos, posU, vel, force, box := s.n, s.pos, s.posU, s.vel, s.force, s.box
+	s.rec.BeginIteration()
+	levels := sched.LevelsAt(approx.PhaseOf(step, baselineIters, sched.Phases))
 
-		// AB: second velocity half-kick (truncation over atoms). Trailing
-		// atoms skip it, degrading them from velocity Verlet to plain
-		// Euler integration — a small per-step error that trajectory
-		// divergence amplifies over the remaining timesteps.
-		kicked := approx.Truncate(n, levels[BlockVelocity], a.Blocks()[BlockVelocity].MaxLevel, func(i int) {
-			vel[i] = clampSpeed(vel[i].add(force[i].scale(0.5 * dt / mass)))
-		})
-		rec.Call("velocity", uint64((n+kicked)*costVelocity))
-
-		// Neighbor-list maintenance, PBC bookkeeping, reductions and halo
-		// exchange stand-ins: exact work every step.
-		rec.Overhead(uint64(n * n * costRest))
+	// AB: first velocity half-kick (always runs for every atom).
+	for i := 0; i < n; i++ {
+		vel[i] = clampSpeed(vel[i].add(force[i].scale(0.5 * dt / mass)))
 	}
 
-	// Output: the final per-atom state — unwrapped positions plus potential
-	// and kinetic energies, evaluated exactly from the final configuration
-	// (output assembly, not part of any AB). Early approximation lets
-	// trajectories diverge for the rest of the run, so the final state
-	// carries the full ripple effect the paper describes for CoMD.
-	computeForces(func(int) bool { return true })
+	// AB: position update. The full velocity-Verlet update advances
+	// r += v·dt + ½(f/m)·dt²; perforated atoms drop the acceleration
+	// term (first-order drift) — a tiny per-step error that trajectory
+	// divergence amplifies over the remaining run.
+	posStride := levels[BlockPosition] + 1
+	full := 0
+	for i := 0; i < n; i++ {
+		d := vel[i].scale(dt)
+		if (i+step)%posStride == 0 {
+			d = d.add(force[i].scale(0.5 * dt * dt / mass))
+			full++
+		}
+		pos[i] = wrap(pos[i].add(d), box)
+		posU[i] = posU[i].add(d)
+	}
+	s.rec.Call("position", uint64((n+full)*costPosition))
+
+	// AB: force computation (rotating perforation over atoms): a
+	// skipped atom coasts on its previous force until its next turn.
+	stride := levels[BlockForce] + 1
+	evaluated := s.computeForces(force, s.peAtom, func(i int) bool { return (i+step)%stride == 0 })
+	s.rec.Call("force", uint64(evaluated*n*costPair))
+
+	// AB: second velocity half-kick (truncation over atoms). Trailing
+	// atoms skip it, degrading them from velocity Verlet to plain
+	// Euler integration — a small per-step error that trajectory
+	// divergence amplifies over the remaining timesteps.
+	kicked := approx.Truncate(n, levels[BlockVelocity], s.velocityMax, func(i int) {
+		vel[i] = clampSpeed(vel[i].add(force[i].scale(0.5 * dt / mass)))
+	})
+	s.rec.Call("velocity", uint64((n+kicked)*costVelocity))
+
+	// Neighbor-list maintenance, PBC bookkeeping, reductions and halo
+	// exchange stand-ins: exact work every step.
+	s.rec.Overhead(uint64(n * n * costRest))
+	return true
+}
+
+// Clone implements apps.State.
+func (s *state) Clone() apps.State {
+	c := *s
+	c.pos = append([]vec3(nil), s.pos...)
+	c.posU = append([]vec3(nil), s.posU...)
+	c.vel = append([]vec3(nil), s.vel...)
+	c.force = append([]vec3(nil), s.force...)
+	c.peAtom = append([]float64(nil), s.peAtom...)
+	c.rec = s.rec.Clone()
+	return &c
+}
+
+// Result implements apps.State. The output is the final per-atom state
+// — unwrapped positions plus potential and kinetic energies, evaluated
+// exactly from the final configuration (output assembly, not part of
+// any AB). Early approximation lets trajectories diverge for the rest of
+// the run, so the final state carries the full ripple effect the paper
+// describes for CoMD.
+func (s *state) Result() apps.Result {
+	n := s.n
+	pe := make([]float64, n)
+	s.computeForces(make([]vec3, n), pe, func(int) bool { return true })
 	out := make([]float64, 0, 5*n)
 	for i := 0; i < n; i++ {
-		out = append(out, posU[i].x, posU[i].y, posU[i].z)
+		out = append(out, s.posU[i].x, s.posU[i].y, s.posU[i].z)
 	}
-	out = append(out, peAtom...)
+	out = append(out, pe...)
 	for i := 0; i < n; i++ {
-		v := vel[i]
+		v := s.vel[i]
 		out = append(out, 0.5*mass*(v.x*v.x+v.y*v.y+v.z*v.z))
 	}
 	return apps.Result{
 		Output:     out,
-		Work:       rec.TotalWork(),
-		OuterIters: rec.Iterations(),
-		CtxSig:     rec.ContextSignature(),
-	}, nil
+		Work:       s.rec.TotalWork(),
+		OuterIters: s.rec.Iterations(),
+		CtxSig:     s.rec.ContextSignature(),
+	}
 }
 
 func minImage(d, box float64) float64 {
@@ -280,7 +324,15 @@ func wrap(v vec3, box float64) vec3 {
 	return vec3{wrap1(v.x, box), wrap1(v.y, box), wrap1(v.z, box)}
 }
 
+// wrap1 folds x into [0, box). An atom moves a fraction of a box per
+// step, so the loops run once or not at all — except for a runaway atom:
+// a near-collision under heavy force perforation can throw it millions
+// of boxes in one step, and beyond maxWraps boxes the fold starts with
+// math.Mod rather than looping for minutes (or forever, at ±Inf).
 func wrap1(x, box float64) float64 {
+	if math.Abs(x) > maxWraps*box {
+		x = math.Mod(x, box)
+	}
 	for x >= box {
 		x -= box
 	}

@@ -11,7 +11,7 @@ import (
 func golden(t *testing.T, p apps.Params) apps.Result {
 	t.Helper()
 	a := New()
-	res, err := a.Run(p, approx.AccurateSchedule(len(a.Blocks())), 0)
+	res, err := apps.Run(a, p, approx.AccurateSchedule(len(a.Blocks())), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestIterationCountIndependentOfLevels(t *testing.T) {
 	p := apps.DefaultParams(a)
 	g := golden(t, p)
 	for _, cfg := range []approx.Config{{5, 0, 0}, {0, 4, 0}, {0, 0, 3}, {5, 4, 3}} {
-		res, err := a.Run(p, approx.UniformSchedule(1, cfg), g.OuterIters)
+		res, err := apps.Run(a, p, approx.UniformSchedule(1, cfg), g.OuterIters)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,10 +82,10 @@ func TestTimestepsScaleWork(t *testing.T) {
 
 func TestInvalidParams(t *testing.T) {
 	a := New()
-	if _, err := a.Run(apps.Params{"cells": 0, "lattice": 1.6, "timesteps": 20}, approx.AccurateSchedule(3), 0); err == nil {
+	if _, err := apps.Run(a, apps.Params{"cells": 0, "lattice": 1.6, "timesteps": 20}, approx.AccurateSchedule(3), 0); err == nil {
 		t.Fatal("want error for zero cells")
 	}
-	if _, err := a.Run(apps.Params{"cells": 2, "lattice": -1, "timesteps": 20}, approx.AccurateSchedule(3), 0); err == nil {
+	if _, err := apps.Run(a, apps.Params{"cells": 2, "lattice": -1, "timesteps": 20}, approx.AccurateSchedule(3), 0); err == nil {
 		t.Fatal("want error for negative lattice parameter")
 	}
 }

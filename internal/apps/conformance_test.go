@@ -1,6 +1,9 @@
 package apps_test
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -11,6 +14,7 @@ import (
 	"opprox/internal/apps/pso"
 	"opprox/internal/apps/tracker"
 	"opprox/internal/apps/vidpipe"
+	"opprox/internal/trace"
 )
 
 func allApps() []apps.App {
@@ -45,11 +49,11 @@ func TestConformance(t *testing.T) {
 			p := apps.DefaultParams(a)
 			acc := approx.AccurateSchedule(len(blocks))
 
-			g1, err := a.Run(p, acc, 0)
+			g1, err := apps.Run(a, p, acc, 0)
 			if err != nil {
 				t.Fatalf("golden run: %v", err)
 			}
-			g2, err := a.Run(p, acc, 0)
+			g2, err := apps.Run(a, p, acc, 0)
 			if err != nil {
 				t.Fatalf("second golden run: %v", err)
 			}
@@ -78,7 +82,7 @@ func TestConformance(t *testing.T) {
 
 			// A phase-aware accurate schedule is still exactly accurate.
 			multi := approx.UniformSchedule(4, make(approx.Config, len(blocks)))
-			gm, err := a.Run(p, multi, g1.OuterIters)
+			gm, err := apps.Run(a, p, multi, g1.OuterIters)
 			if err != nil {
 				t.Fatalf("multi-phase accurate run: %v", err)
 			}
@@ -91,7 +95,7 @@ func TestConformance(t *testing.T) {
 			for i, b := range blocks {
 				maxCfg[i] = b.MaxLevel
 			}
-			am, err := a.Run(p, approx.UniformSchedule(1, maxCfg), g1.OuterIters)
+			am, err := apps.Run(a, p, approx.UniformSchedule(1, maxCfg), g1.OuterIters)
 			if err != nil {
 				t.Fatalf("max-AL run: %v", err)
 			}
@@ -113,7 +117,7 @@ func TestConformance(t *testing.T) {
 
 			// Invalid schedules are rejected.
 			bad := approx.UniformSchedule(1, make(approx.Config, len(blocks)+1))
-			if _, err := a.Run(p, bad, 0); err == nil {
+			if _, err := apps.Run(a, p, bad, 0); err == nil {
 				t.Fatal("invalid schedule accepted")
 			}
 		})
@@ -233,15 +237,15 @@ func TestUniformScheduleIsPhaseCountInvariant(t *testing.T) {
 			for i := range cfg {
 				cfg[i] = 1
 			}
-			g, err := a.Run(p, approx.AccurateSchedule(len(blocks)), 0)
+			g, err := apps.Run(a, p, approx.AccurateSchedule(len(blocks)), 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			one, err := a.Run(p, approx.UniformSchedule(1, cfg), g.OuterIters)
+			one, err := apps.Run(a, p, approx.UniformSchedule(1, cfg), g.OuterIters)
 			if err != nil {
 				t.Fatal(err)
 			}
-			four, err := a.Run(p, approx.UniformSchedule(4, cfg), g.OuterIters)
+			four, err := apps.Run(a, p, approx.UniformSchedule(4, cfg), g.OuterIters)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -264,21 +268,129 @@ func TestApproximateRunsDeterministic(t *testing.T) {
 			for i, b := range blocks {
 				cfg[i] = (b.MaxLevel + 1) / 2
 			}
-			g, err := a.Run(p, approx.AccurateSchedule(len(blocks)), 0)
+			g, err := apps.Run(a, p, approx.AccurateSchedule(len(blocks)), 0)
 			if err != nil {
 				t.Fatal(err)
 			}
 			sched := approx.SinglePhaseSchedule(4, 1, cfg)
-			r1, err := a.Run(p, sched, g.OuterIters)
+			r1, err := apps.Run(a, p, sched, g.OuterIters)
 			if err != nil {
 				t.Fatal(err)
 			}
-			r2, err := a.Run(p, sched, g.OuterIters)
+			r2, err := apps.Run(a, p, sched, g.OuterIters)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(r1.Output, r2.Output) || r1.Work != r2.Work {
 				t.Fatal("approximate runs are not deterministic")
+			}
+		})
+	}
+}
+
+// randomParams draws every parameter uniformly between its smallest and
+// largest representative value: whole where all of them are whole, two
+// decimals otherwise.
+func randomParams(rng *rand.Rand, a apps.App) apps.Params {
+	p := apps.Params{}
+	for _, s := range a.Params() {
+		lo, hi, whole := s.Values[0], s.Values[0], true
+		for _, v := range s.Values {
+			lo, hi = math.Min(lo, v), math.Max(hi, v)
+			whole = whole && v == math.Trunc(v)
+		}
+		v := lo + rng.Float64()*(hi-lo)
+		if whole {
+			v = math.Round(v)
+		} else {
+			v = math.Round(v*100) / 100
+		}
+		p[s.Name] = v
+	}
+	return p
+}
+
+// randomSchedule approximates one or two random phases of `phases` with
+// random non-accurate configurations and leaves the rest accurate.
+func randomSchedule(rng *rand.Rand, blocks []approx.Block, phases int) approx.Schedule {
+	sched := approx.UniformSchedule(phases, make(approx.Config, len(blocks)))
+	for n := 1 + rng.Intn(2); n > 0; n-- {
+		cfg := make(approx.Config, len(blocks))
+		for i, b := range blocks {
+			cfg[i] = rng.Intn(b.MaxLevel + 1)
+		}
+		if cfg.IsAccurate() {
+			bi := rng.Intn(len(blocks))
+			cfg[bi] = 1 + rng.Intn(blocks[bi].MaxLevel)
+		}
+		sched.Levels[rng.Intn(phases)] = cfg
+	}
+	return sched
+}
+
+// TestResumeMatchesRun is the resume-equivalence property: for every app,
+// random inputs and random schedules over 2, 3, 4 and 8 phases, a
+// Runner's Evaluate — which resumes from the golden run's checkpoint at
+// the first approximated phase — must report exactly what a full run
+// from Start reports: the output bit for bit, the work, the iteration
+// count, the signature, and the degradation and speedup scored from
+// them. Uniform and all-accurate schedules (resumed from the start and
+// from the golden run's end) are checked too.
+func TestResumeMatchesRun(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for _, a := range allApps() {
+		a := a
+		t.Run(a.Name(), func(t *testing.T) {
+			runner := apps.NewRunner(a)
+			blocks := a.Blocks()
+			for trial := 0; trial < 4; trial++ {
+				p := randomParams(rng, a)
+				g, err := runner.Golden(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var scheds []approx.Schedule
+				for _, phases := range []int{2, 3, 4, 8} {
+					scheds = append(scheds, randomSchedule(rng, blocks, phases))
+				}
+				scheds = append(scheds,
+					approx.UniformSchedule(3, randomSchedule(rng, blocks, 1).Levels[0]),
+					approx.UniformSchedule(4, make(approx.Config, len(blocks))))
+				for _, sched := range scheds {
+					ev, err := runner.Evaluate(p, sched)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := apps.Run(a, p, sched, g.OuterIters)
+					if err != nil {
+						t.Fatal(err)
+					}
+					deg, err := a.QoS(g.Output, want.Output)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if math.IsNaN(deg) || deg > apps.MaxDegradation {
+						deg = apps.MaxDegradation
+					}
+					where := fmt.Sprintf("params %v, schedule %s", p, sched)
+					if len(ev.Output) != len(want.Output) {
+						t.Fatalf("%s: output length %d, want %d", where, len(ev.Output), len(want.Output))
+					}
+					for i := range want.Output {
+						if math.Float64bits(ev.Output[i]) != math.Float64bits(want.Output[i]) {
+							t.Fatalf("%s: output[%d] = %v, want %v", where, i, ev.Output[i], want.Output[i])
+						}
+					}
+					if ev.Work != want.Work || ev.OuterIters != want.OuterIters || ev.CtxSig != want.CtxSig {
+						t.Fatalf("%s: work/iters/sig %d/%d/%q, want %d/%d/%q", where,
+							ev.Work, ev.OuterIters, ev.CtxSig, want.Work, want.OuterIters, want.CtxSig)
+					}
+					if math.Float64bits(ev.Degradation) != math.Float64bits(deg) ||
+						math.Float64bits(ev.Speedup) != math.Float64bits(trace.Speedup(g.Work, want.Work)) {
+						t.Fatalf("%s: degradation/speedup %v/%v, want %v/%v", where,
+							ev.Degradation, ev.Speedup, deg, trace.Speedup(g.Work, want.Work))
+					}
+				}
 			}
 		})
 	}

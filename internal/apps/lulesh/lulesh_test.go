@@ -10,7 +10,7 @@ import (
 func golden(t *testing.T, p apps.Params) apps.Result {
 	t.Helper()
 	a := New()
-	res, err := a.Run(p, approx.AccurateSchedule(len(a.Blocks())), 0)
+	res, err := apps.Run(a, p, approx.AccurateSchedule(len(a.Blocks())), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestIterationCountVariesWithApproximation(t *testing.T) {
 		{3, 0, 0, 0},
 		{0, 0, 3, 0},
 	} {
-		res, err := a.Run(p, approx.UniformSchedule(1, cfg), g.OuterIters)
+		res, err := apps.Run(a, p, approx.UniformSchedule(1, cfg), g.OuterIters)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,10 +87,10 @@ func TestRegionsChangeSolution(t *testing.T) {
 
 func TestInvalidParams(t *testing.T) {
 	a := New()
-	if _, err := a.Run(apps.Params{"mesh": 1, "regions": 2}, approx.AccurateSchedule(4), 0); err == nil {
+	if _, err := apps.Run(a, apps.Params{"mesh": 1, "regions": 2}, approx.AccurateSchedule(4), 0); err == nil {
 		t.Fatal("want error for tiny mesh")
 	}
-	if _, err := a.Run(apps.Params{"mesh": 48, "regions": 0}, approx.AccurateSchedule(4), 0); err == nil {
+	if _, err := apps.Run(a, apps.Params{"mesh": 48, "regions": 0}, approx.AccurateSchedule(4), 0); err == nil {
 		t.Fatal("want error for zero regions")
 	}
 }
@@ -121,7 +121,7 @@ func TestOutputsAlwaysFinite(t *testing.T) {
 	a := New()
 	p := apps.DefaultParams(a)
 	cfg := approx.Config{5, 5, 5, 5}
-	res, err := a.Run(p, approx.UniformSchedule(1, cfg), 0)
+	res, err := apps.Run(a, p, approx.UniformSchedule(1, cfg), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -130,137 +130,183 @@ func rosenbrock(x []float64) float64 {
 	return s
 }
 
-// Run implements apps.App.
-func (a *App) Run(p apps.Params, sched approx.Schedule, baselineIters int) (apps.Result, error) {
-	if err := sched.Validate(a.Blocks()); err != nil {
-		return apps.Result{}, err
-	}
+// state is one PSO run between iterations. Its random stream lives in
+// src, which copies by value, so a clone continues the stream exactly.
+type state struct {
+	swarm, dim int
+	src        apps.Source
+	rng        *rand.Rand // draws from src
+
+	pos, vel, cachedVel, pbest [][]float64
+	fit, pbestFit              []float64
+	gbest                      []float64
+	gbestFit                   float64
+
+	rec   trace.Recorder
+	stale int
+	done  bool
+}
+
+// Start implements apps.App: the swarm's random initialization.
+func (a *App) Start(p apps.Params) (apps.State, error) {
 	swarm := int(p.Vector(a.Params())[0])
 	dim := int(p.Vector(a.Params())[1])
 	if swarm < 2 || dim < 1 {
-		return apps.Result{}, fmt.Errorf("pso: invalid parameters swarm=%d dim=%d", swarm, dim)
+		return nil, fmt.Errorf("pso: invalid parameters swarm=%d dim=%d", swarm, dim)
 	}
-	rng := rand.New(rand.NewSource(apps.Seed(a.Name(), p)))
-
-	pos := make([][]float64, swarm)
-	vel := make([][]float64, swarm)
-	cachedVel := make([][]float64, swarm)
-	fit := make([]float64, swarm)
-	pbest := make([][]float64, swarm)
-	pbestFit := make([]float64, swarm)
-	var gbest []float64
-	gbestFit := math.Inf(1)
+	s := &state{
+		swarm:     swarm,
+		dim:       dim,
+		pos:       make([][]float64, swarm),
+		vel:       make([][]float64, swarm),
+		cachedVel: make([][]float64, swarm),
+		fit:       make([]float64, swarm),
+		pbest:     make([][]float64, swarm),
+		pbestFit:  make([]float64, swarm),
+		gbestFit:  math.Inf(1),
+	}
+	s.src.Seed(apps.Seed(a.Name(), p))
+	s.rng = rand.New(&s.src)
 	for i := 0; i < swarm; i++ {
-		pos[i] = make([]float64, dim)
-		vel[i] = make([]float64, dim)
-		cachedVel[i] = make([]float64, dim)
+		s.pos[i] = make([]float64, dim)
+		s.vel[i] = make([]float64, dim)
+		s.cachedVel[i] = make([]float64, dim)
 		for d := 0; d < dim; d++ {
-			pos[i][d] = rng.Float64()*2*bound - bound
-			vel[i][d] = (rng.Float64()*2 - 1) * bound / 4
+			s.pos[i][d] = s.rng.Float64()*2*bound - bound
+			s.vel[i][d] = (s.rng.Float64()*2 - 1) * bound / 4
 		}
-		fit[i] = rosenbrock(pos[i])
-		pbest[i] = append([]float64(nil), pos[i]...)
-		pbestFit[i] = fit[i]
-		if fit[i] < gbestFit {
-			gbestFit = fit[i]
-			gbest = append([]float64(nil), pos[i]...)
+		s.fit[i] = rosenbrock(s.pos[i])
+		s.pbest[i] = append([]float64(nil), s.pos[i]...)
+		s.pbestFit[i] = s.fit[i]
+		if s.fit[i] < s.gbestFit {
+			s.gbestFit = s.fit[i]
+			s.gbest = append([]float64(nil), s.pos[i]...)
 		}
 	}
+	return s, nil
+}
 
-	var rec trace.Recorder
-	stale := 0
-	for iter := 0; iter < maxIters; iter++ {
-		rec.BeginIteration()
-		phase := approx.PhaseOf(iter, baselineIters, sched.Phases)
-		levels := sched.LevelsAt(phase)
+// Step implements apps.State: one swarm iteration.
+func (s *state) Step(sched approx.Schedule, baselineIters int) bool {
+	iter := s.rec.Iterations()
+	if s.done || iter >= maxIters {
+		return false
+	}
+	swarm, dim := s.swarm, s.dim
+	pos, vel, cachedVel, pbest, pbestFit := s.pos, s.vel, s.cachedVel, s.pbest, s.pbestFit
+	s.rec.BeginIteration()
+	levels := sched.LevelsAt(approx.PhaseOf(iter, baselineIters, sched.Phases))
 
-		// AB: velocity update (memoization across iterations, staggered by
-		// particle index so the whole swarm never coasts simultaneously).
-		velPeriod := levels[BlockVelocity] + 1
-		computedVel := 0
-		for i := 0; i < swarm; i++ {
-			if (iter+i)%velPeriod == 0 {
-				for d := 0; d < dim; d++ {
-					r1, r2 := rng.Float64(), rng.Float64()
-					v := inertia*vel[i][d] +
-						cognitive*r1*(pbest[i][d]-pos[i][d]) +
-						social*r2*(gbest[d]-pos[i][d])
-					if v > bound/2 {
-						v = bound / 2
-					} else if v < -bound/2 {
-						v = -bound / 2
-					}
-					vel[i][d] = v
-					cachedVel[i][d] = v
-				}
-				computedVel++
-			} else {
-				copy(vel[i], cachedVel[i]) // reuse cached velocity
-			}
-		}
-		rec.Call("velocity", uint64(computedVel*dim*costVelocity))
-
-		// AB: position update (rotating perforation over particles).
-		moved := approx.PerforateRotating(swarm, levels[BlockPosition], iter, func(i int) {
+	// AB: velocity update (memoization across iterations, staggered by
+	// particle index so the whole swarm never coasts simultaneously).
+	velPeriod := levels[BlockVelocity] + 1
+	computedVel := 0
+	for i := 0; i < swarm; i++ {
+		if (iter+i)%velPeriod == 0 {
 			for d := 0; d < dim; d++ {
-				pos[i][d] += vel[i][d]
-				if pos[i][d] > bound {
-					pos[i][d] = bound
-				} else if pos[i][d] < -bound {
-					pos[i][d] = -bound
+				r1, r2 := s.rng.Float64(), s.rng.Float64()
+				v := inertia*vel[i][d] +
+					cognitive*r1*(pbest[i][d]-pos[i][d]) +
+					social*r2*(s.gbest[d]-pos[i][d])
+				if v > bound/2 {
+					v = bound / 2
+				} else if v < -bound/2 {
+					v = -bound / 2
 				}
+				vel[i][d] = v
+				cachedVel[i][d] = v
 			}
-		})
-		rec.Call("position", uint64(moved*dim*costPosition))
-
-		// AB: fitness evaluation (rotating perforation over particles).
-		// Skipped particles keep a stale fitness until their next turn.
-		evaluated := approx.PerforateRotating(swarm, levels[BlockFitness], iter, func(i int) {
-			fit[i] = rosenbrock(pos[i])
-			if fit[i] < pbestFit[i] {
-				pbestFit[i] = fit[i]
-				copy(pbest[i], pos[i])
-			}
-		})
-		rec.Call("fitness", uint64(evaluated*dim*costFitness))
-
-		// Convergence bookkeeping (exact, outside the ABs).
-		improved := false
-		for i := 0; i < swarm; i++ {
-			if pbestFit[i] < gbestFit*(1-improveEps) {
-				improved = true
-			}
-			if pbestFit[i] < gbestFit {
-				gbestFit = pbestFit[i]
-				copy(gbest, pbest[i])
-			}
-		}
-		// Convergence bookkeeping, topology maintenance and logging:
-		// exact work every iteration.
-		rec.Overhead(uint64(swarm * dim * costRest))
-		if improved {
-			stale = 0
+			computedVel++
 		} else {
-			stale++
-		}
-		if iter >= warmupIters && stale >= patience {
-			break
+			copy(vel[i], cachedVel[i]) // reuse cached velocity
 		}
 	}
+	s.rec.Call("velocity", uint64(computedVel*dim*costVelocity))
 
-	// Output: the per-particle best fitness values, in sorted order.
-	// Sorting reports the swarm's fitness distribution rather than an
-	// arbitrary particle labelling, so the QoS metric compares like with
-	// like even when approximation reshuffles which particle found what.
-	out := make([]float64, swarm)
-	copy(out, pbestFit)
+	// AB: position update (rotating perforation over particles).
+	moved := approx.PerforateRotating(swarm, levels[BlockPosition], iter, func(i int) {
+		for d := 0; d < dim; d++ {
+			pos[i][d] += vel[i][d]
+			if pos[i][d] > bound {
+				pos[i][d] = bound
+			} else if pos[i][d] < -bound {
+				pos[i][d] = -bound
+			}
+		}
+	})
+	s.rec.Call("position", uint64(moved*dim*costPosition))
+
+	// AB: fitness evaluation (rotating perforation over particles).
+	// Skipped particles keep a stale fitness until their next turn.
+	evaluated := approx.PerforateRotating(swarm, levels[BlockFitness], iter, func(i int) {
+		s.fit[i] = rosenbrock(pos[i])
+		if s.fit[i] < pbestFit[i] {
+			pbestFit[i] = s.fit[i]
+			copy(pbest[i], pos[i])
+		}
+	})
+	s.rec.Call("fitness", uint64(evaluated*dim*costFitness))
+
+	// Convergence bookkeeping (exact, outside the ABs).
+	improved := false
+	for i := 0; i < swarm; i++ {
+		if pbestFit[i] < s.gbestFit*(1-improveEps) {
+			improved = true
+		}
+		if pbestFit[i] < s.gbestFit {
+			s.gbestFit = pbestFit[i]
+			copy(s.gbest, pbest[i])
+		}
+	}
+	// Convergence bookkeeping, topology maintenance and logging:
+	// exact work every iteration.
+	s.rec.Overhead(uint64(swarm * dim * costRest))
+	if improved {
+		s.stale = 0
+	} else {
+		s.stale++
+	}
+	s.done = iter >= warmupIters && s.stale >= patience
+	return true
+}
+
+// Clone implements apps.State.
+func (s *state) Clone() apps.State {
+	c := *s
+	c.rng = rand.New(&c.src)
+	c.pos = cloneRows(s.pos)
+	c.vel = cloneRows(s.vel)
+	c.cachedVel = cloneRows(s.cachedVel)
+	c.pbest = cloneRows(s.pbest)
+	c.fit = append([]float64(nil), s.fit...)
+	c.pbestFit = append([]float64(nil), s.pbestFit...)
+	c.gbest = append([]float64(nil), s.gbest...)
+	c.rec = s.rec.Clone()
+	return &c
+}
+
+func cloneRows(rows [][]float64) [][]float64 {
+	out := make([][]float64, len(rows))
+	for i, r := range rows {
+		out[i] = append([]float64(nil), r...)
+	}
+	return out
+}
+
+// Result implements apps.State. The output is the per-particle best
+// fitness values, in sorted order. Sorting reports the swarm's fitness
+// distribution rather than an arbitrary particle labelling, so the QoS
+// metric compares like with like even when approximation reshuffles
+// which particle found what.
+func (s *state) Result() apps.Result {
+	out := append([]float64(nil), s.pbestFit...)
 	sort.Float64s(out)
 	return apps.Result{
 		Output:     out,
-		Work:       rec.TotalWork(),
-		OuterIters: rec.Iterations(),
-		CtxSig:     rec.ContextSignature(),
-	}, nil
+		Work:       s.rec.TotalWork(),
+		OuterIters: s.rec.Iterations(),
+		CtxSig:     s.rec.ContextSignature(),
+	}
 }
 
 var _ apps.App = (*App)(nil)

@@ -12,7 +12,7 @@ import (
 func golden(t *testing.T, p apps.Params) apps.Result {
 	t.Helper()
 	a := New()
-	res, err := a.Run(p, approx.AccurateSchedule(len(a.Blocks())), 0)
+	res, err := apps.Run(a, p, approx.AccurateSchedule(len(a.Blocks())), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestApproximationCanTerminateEarly(t *testing.T) {
 	a := New()
 	p := apps.DefaultParams(a)
 	g := golden(t, p)
-	res, err := a.Run(p, approx.UniformSchedule(1, approx.Config{0, 5, 0}), g.OuterIters)
+	res, err := apps.Run(a, p, approx.UniformSchedule(1, approx.Config{0, 5, 0}), g.OuterIters)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,10 +100,10 @@ func TestSwarmSizeScalesOutput(t *testing.T) {
 
 func TestInvalidParams(t *testing.T) {
 	a := New()
-	if _, err := a.Run(apps.Params{"swarm": 1, "dim": 2}, approx.AccurateSchedule(3), 0); err == nil {
+	if _, err := apps.Run(a, apps.Params{"swarm": 1, "dim": 2}, approx.AccurateSchedule(3), 0); err == nil {
 		t.Fatal("want error for swarm of 1")
 	}
-	if _, err := a.Run(apps.Params{"swarm": 8, "dim": 0}, approx.AccurateSchedule(3), 0); err == nil {
+	if _, err := apps.Run(a, apps.Params{"swarm": 8, "dim": 0}, approx.AccurateSchedule(3), 0); err == nil {
 		t.Fatal("want error for zero dimensions")
 	}
 }

@@ -108,169 +108,224 @@ func truePose(t int) []float64 {
 	return pose
 }
 
-// Run implements apps.App.
-func (a *App) Run(p apps.Params, sched approx.Schedule, baselineIters int) (apps.Result, error) {
-	if err := sched.Validate(a.Blocks()); err != nil {
-		return apps.Result{}, err
-	}
+// state is one tracker run between (frame, layer) iterations: a state
+// machine over the frame f, its annealing layer l and the layer's repeat
+// count. Its random stream lives in src, which copies by value, so a
+// clone continues the stream exactly.
+type state struct {
+	particles, frames int
+	layersIn          int
+	layersMax         int   // MaxLevel of the layers block
+	minParticlesMax   int   // MaxLevel of the minparticles block
+	seed              int64 // keys the synthetic image noise
+	src               apps.Source
+	rng               *rand.Rand // draws from src
+
+	pts     [][]float64
+	weights []float64
+	out     []float64 // one pose estimate per finished frame
+
+	f, l, repeats int
+	// layers is the current frame's layer count, fixed at its first
+	// iteration; 0 until that iteration runs.
+	layers int
+	truth  []float64
+	rec    trace.Recorder
+}
+
+// Start implements apps.App: the initial particle cloud around frame 0's
+// pose.
+func (a *App) Start(p apps.Params) (apps.State, error) {
 	pv := p.Vector(a.Params())
 	layersIn := int(pv[0])
 	particles := int(pv[1])
 	frames := int(pv[2])
 	if layersIn < 1 || particles < 4 || frames < 1 {
-		return apps.Result{}, fmt.Errorf("tracker: invalid parameters layers=%d particles=%d frames=%d", layersIn, particles, frames)
+		return nil, fmt.Errorf("tracker: invalid parameters layers=%d particles=%d frames=%d", layersIn, particles, frames)
 	}
-	seed := apps.Seed(a.Name(), p)
-	rng := rand.New(rand.NewSource(seed))
+	s := &state{
+		particles:       particles,
+		frames:          frames,
+		layersIn:        layersIn,
+		layersMax:       a.Blocks()[BlockLayers].MaxLevel,
+		minParticlesMax: a.Blocks()[BlockMinParticles].MaxLevel,
+		seed:            apps.Seed(a.Name(), p),
+		pts:             make([][]float64, particles),
+		weights:         make([]float64, particles),
+		out:             make([]float64, 0, frames*numJoints),
+	}
+	s.src.Seed(s.seed)
+	s.rng = rand.New(&s.src)
 
 	// Particle state: each particle is a pose hypothesis.
-	pts := make([][]float64, particles)
-	weights := make([]float64, particles)
 	init := truePose(0)
-	for i := range pts {
-		pts[i] = make([]float64, numJoints)
-		for j := range pts[i] {
-			pts[i][j] = init[j] + rng.NormFloat64()*baseNoise
+	for i := range s.pts {
+		s.pts[i] = make([]float64, numJoints)
+		for j := range s.pts[i] {
+			s.pts[i][j] = init[j] + s.rng.NormFloat64()*baseNoise
 		}
-		weights[i] = 1 / float64(particles)
+		s.weights[i] = 1 / float64(particles)
 	}
+	return s, nil
+}
 
-	var rec trace.Recorder
-	out := make([]float64, 0, frames*numJoints)
-	iterIdx := 0
-	for f := 0; f < frames; f++ {
-		truth := truePose(f)
-
+// Step implements apps.State: one annealing layer (or its repeat) of the
+// current frame.
+func (s *state) Step(sched approx.Schedule, baselineIters int) bool {
+	if s.f >= s.frames {
+		return false
+	}
+	f, l, particles, weights := s.f, s.l, s.particles, s.weights
+	iter := s.rec.Iterations()
+	levels := sched.LevelsAt(approx.PhaseOf(iter, baselineIters, sched.Phases))
+	if s.layers == 0 {
 		// The effective layer count is phase-tunable; sample the level
 		// from the phase this frame's first layer lands in.
-		firstPhase := approx.PhaseOf(iterIdx, baselineIters, sched.Phases)
-		layerLevel := sched.LevelsAt(firstPhase)[BlockLayers]
-		layers := int(math.Round(approx.TunedValue(float64(layersIn), math.Max(1, float64(layersIn)/2), layerLevel, a.Blocks()[BlockLayers].MaxLevel)))
-		if layers < 1 {
-			layers = 1
+		s.truth = truePose(f)
+		layers := int(math.Round(approx.TunedValue(float64(s.layersIn), math.Max(1, float64(s.layersIn)/2), levels[BlockLayers], s.layersMax)))
+		s.layers = max(layers, 1)
+	}
+	truth, layers := s.truth, s.layers
+	s.rec.BeginIteration()
+
+	// AB: feature extraction (perforation over image rows). Each
+	// row contributes an independently noisy partial estimate of
+	// the observed pose — the per-row noise is a pure function of
+	// (input seed, frame, row, joint), so the synthetic image is
+	// identical across runs. Sampling fewer rows loses averaging
+	// and yields a noisier feature vector.
+	features := make([]float64, numJoints)
+	rows := approx.Perforate(imageRows, levels[BlockFeatures], func(y int) {
+		for j := 0; j < numJoints; j++ {
+			noise := apps.Noise(s.seed, int64(f), int64(y), int64(j))
+			features[j] += truth[j] * (1 + noise*featureSD)
 		}
-
-		for l := 0; l < layers; l++ {
-			repeats := 0
-		layerLoop:
-			rec.BeginIteration()
-			phase := approx.PhaseOf(iterIdx, baselineIters, sched.Phases)
-			levels := sched.LevelsAt(phase)
-			iterIdx++
-
-			// AB: feature extraction (perforation over image rows). Each
-			// row contributes an independently noisy partial estimate of
-			// the observed pose — the per-row noise is a pure function of
-			// (input seed, frame, row, joint), so the synthetic image is
-			// identical across runs. Sampling fewer rows loses averaging
-			// and yields a noisier feature vector.
-			features := make([]float64, numJoints)
-			rows := approx.Perforate(imageRows, levels[BlockFeatures], func(y int) {
-				for j := 0; j < numJoints; j++ {
-					noise := apps.Noise(seed, int64(f), int64(y), int64(j))
-					features[j] += truth[j] * (1 + noise*featureSD)
-				}
-			})
-			rec.Call("features", uint64(rows*numJoints*costFeatureRow))
-			for j := range features {
-				features[j] /= float64(rows)
-			}
-
-			// AB: likelihood weighting (perforation over particles). A
-			// skipped particle borrows the weight of the most recently
-			// evaluated particle — cheap, and increasingly wrong as the
-			// stride grows.
-			beta := layerBeta * float64(l+1) / float64(layers)
-			weighted := approx.Perforate(particles, levels[BlockLikelihood], func(i int) {
-				d2 := 0.0
-				for j := 0; j < numJoints; j++ {
-					d := pts[i][j] - features[j]
-					d2 += d * d / (0.05 + features[j]*features[j]*0.01)
-				}
-				weights[i] = math.Exp(-beta * d2)
-			})
-			rec.Call("likelihood", uint64(weighted*numJoints*costLikelihood))
-			if stride := levels[BlockLikelihood] + 1; stride > 1 {
-				for i := 0; i < particles; i++ {
-					if i%stride != 0 {
-						weights[i] = weights[i-i%stride]
-					}
-				}
-			}
-
-			// Normalize; measure effective sample size.
-			sumW := 0.0
-			for _, w := range weights {
-				sumW += w
-			}
-			if sumW < 1e-300 {
-				for i := range weights {
-					weights[i] = 1 / float64(particles)
-				}
-				sumW = 1
-			} else {
-				for i := range weights {
-					weights[i] /= sumW
-				}
-			}
-			ess := 0.0
-			for _, w := range weights {
-				ess += w * w
-			}
-			ess = 1 / ess
-
-			// AB: min-particles (parameter tuning). The accurate threshold
-			// demands a healthy particle set; tuning lowers the bar.
-			minParticles := approx.TunedValue(float64(particles)/3, 2, levels[BlockMinParticles], a.Blocks()[BlockMinParticles].MaxLevel)
-
-			// Systematic resampling.
-			pts = resample(pts, weights, rng)
-			for i := range weights {
-				weights[i] = 1 / float64(particles)
-			}
-			rec.Call("minparticles", uint64(particles*costResample))
-
-			// Perturb with geometrically annealed noise: each layer
-			// shrinks the search radius by a fixed factor, so dropping a
-			// layer directly coarsens the final estimate.
-			shrink := baseNoise * math.Pow(annealRatio, float64(l))
-			for i := range pts {
-				for j := range pts[i] {
-					pts[i][j] += rng.NormFloat64() * shrink
-				}
-			}
-			// Image loading, projection math and model bookkeeping: exact
-			// work on every (frame, layer) iteration.
-			rec.Overhead(uint64(particles * numJoints * costRest))
-
-			// Degenerate layer: repeat once to recover diversity. This is
-			// where the iteration count couples to the approximation
-			// levels when min-particles is left strict.
-			if ess < minParticles && repeats < maxRepeats {
-				repeats++
-				goto layerLoop
-			}
-		}
-
-		// Frame estimate: mean pose after the final layer.
-		est := make([]float64, numJoints)
-		for i := range pts {
-			for j := range est {
-				est[j] += pts[i][j]
-			}
-		}
-		for j := range est {
-			est[j] /= float64(particles)
-		}
-		out = append(out, est...)
+	})
+	s.rec.Call("features", uint64(rows*numJoints*costFeatureRow))
+	for j := range features {
+		features[j] /= float64(rows)
 	}
 
+	// AB: likelihood weighting (perforation over particles). A
+	// skipped particle borrows the weight of the most recently
+	// evaluated particle — cheap, and increasingly wrong as the
+	// stride grows.
+	pts := s.pts
+	beta := layerBeta * float64(l+1) / float64(layers)
+	weighted := approx.Perforate(particles, levels[BlockLikelihood], func(i int) {
+		d2 := 0.0
+		for j := 0; j < numJoints; j++ {
+			d := pts[i][j] - features[j]
+			d2 += d * d / (0.05 + features[j]*features[j]*0.01)
+		}
+		weights[i] = math.Exp(-beta * d2)
+	})
+	s.rec.Call("likelihood", uint64(weighted*numJoints*costLikelihood))
+	if stride := levels[BlockLikelihood] + 1; stride > 1 {
+		for i := 0; i < particles; i++ {
+			if i%stride != 0 {
+				weights[i] = weights[i-i%stride]
+			}
+		}
+	}
+
+	// Normalize; measure effective sample size.
+	sumW := 0.0
+	for _, w := range weights {
+		sumW += w
+	}
+	if sumW < 1e-300 {
+		for i := range weights {
+			weights[i] = 1 / float64(particles)
+		}
+		sumW = 1
+	} else {
+		for i := range weights {
+			weights[i] /= sumW
+		}
+	}
+	ess := 0.0
+	for _, w := range weights {
+		ess += w * w
+	}
+	ess = 1 / ess
+
+	// AB: min-particles (parameter tuning). The accurate threshold
+	// demands a healthy particle set; tuning lowers the bar.
+	minParticles := approx.TunedValue(float64(particles)/3, 2, levels[BlockMinParticles], s.minParticlesMax)
+
+	// Systematic resampling.
+	pts = resample(pts, weights, s.rng)
+	s.pts = pts
+	for i := range weights {
+		weights[i] = 1 / float64(particles)
+	}
+	s.rec.Call("minparticles", uint64(particles*costResample))
+
+	// Perturb with geometrically annealed noise: each layer
+	// shrinks the search radius by a fixed factor, so dropping a
+	// layer directly coarsens the final estimate.
+	shrink := baseNoise * math.Pow(annealRatio, float64(l))
+	for i := range pts {
+		for j := range pts[i] {
+			pts[i][j] += s.rng.NormFloat64() * shrink
+		}
+	}
+	// Image loading, projection math and model bookkeeping: exact
+	// work on every (frame, layer) iteration.
+	s.rec.Overhead(uint64(particles * numJoints * costRest))
+
+	// Degenerate layer: repeat once to recover diversity. This is
+	// where the iteration count couples to the approximation
+	// levels when min-particles is left strict.
+	if ess < minParticles && s.repeats < maxRepeats {
+		s.repeats++
+		return true
+	}
+	s.repeats = 0
+	if s.l++; s.l < layers {
+		return true
+	}
+
+	// Frame estimate: mean pose after the final layer.
+	est := make([]float64, numJoints)
+	for i := range pts {
+		for j := range est {
+			est[j] += pts[i][j]
+		}
+	}
+	for j := range est {
+		est[j] /= float64(particles)
+	}
+	s.out = append(s.out, est...)
+	s.f, s.l, s.layers = f+1, 0, 0
+	return true
+}
+
+// Clone implements apps.State. The frame's truth pose is never written,
+// so clones share it.
+func (s *state) Clone() apps.State {
+	c := *s
+	c.rng = rand.New(&c.src)
+	c.pts = make([][]float64, len(s.pts))
+	for i, pt := range s.pts {
+		c.pts[i] = append([]float64(nil), pt...)
+	}
+	c.weights = append([]float64(nil), s.weights...)
+	c.out = append(make([]float64, 0, cap(s.out)), s.out...)
+	c.rec = s.rec.Clone()
+	return &c
+}
+
+// Result implements apps.State: the estimated pose of every finished
+// frame.
+func (s *state) Result() apps.Result {
 	return apps.Result{
-		Output:     out,
-		Work:       rec.TotalWork(),
-		OuterIters: rec.Iterations(),
-		CtxSig:     rec.ContextSignature(),
-	}, nil
+		Output:     append([]float64(nil), s.out...),
+		Work:       s.rec.TotalWork(),
+		OuterIters: s.rec.Iterations(),
+		CtxSig:     s.rec.ContextSignature(),
+	}
 }
 
 // resample draws a new particle set with systematic resampling.

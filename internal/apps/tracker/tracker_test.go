@@ -12,7 +12,7 @@ import (
 func golden(t *testing.T, p apps.Params) apps.Result {
 	t.Helper()
 	a := New()
-	res, err := a.Run(p, approx.AccurateSchedule(len(a.Blocks())), 0)
+	res, err := apps.Run(a, p, approx.AccurateSchedule(len(a.Blocks())), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestLayersTuningReducesIterations(t *testing.T) {
 	p := apps.DefaultParams(a)
 	g := golden(t, p)
 	cfg := approx.Config{0, 0, 0, 2} // max layers tuning
-	res, err := a.Run(p, approx.UniformSchedule(1, cfg), g.OuterIters)
+	res, err := apps.Run(a, p, approx.UniformSchedule(1, cfg), g.OuterIters)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestMinParticlesTuningReducesRepeats(t *testing.T) {
 	p := apps.DefaultParams(a)
 	g := golden(t, p)
 	cfg := approx.Config{0, 0, 3, 0} // most aggressive min-particles
-	res, err := a.Run(p, approx.UniformSchedule(1, cfg), g.OuterIters)
+	res, err := apps.Run(a, p, approx.UniformSchedule(1, cfg), g.OuterIters)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestLikelihoodPerforationCanAddRepeats(t *testing.T) {
 	a := New()
 	p := apps.DefaultParams(a)
 	g := golden(t, p)
-	res, err := a.Run(p, approx.UniformSchedule(1, approx.Config{5, 0, 0, 0}), g.OuterIters)
+	res, err := apps.Run(a, p, approx.UniformSchedule(1, approx.Config{5, 0, 0, 0}), g.OuterIters)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,10 +108,10 @@ func TestPoseMagnitudesVary(t *testing.T) {
 
 func TestInvalidParams(t *testing.T) {
 	a := New()
-	if _, err := a.Run(apps.Params{"layers": 0, "particles": 60, "frames": 5}, approx.AccurateSchedule(4), 0); err == nil {
+	if _, err := apps.Run(a, apps.Params{"layers": 0, "particles": 60, "frames": 5}, approx.AccurateSchedule(4), 0); err == nil {
 		t.Fatal("want error for zero layers")
 	}
-	if _, err := a.Run(apps.Params{"layers": 3, "particles": 2, "frames": 5}, approx.AccurateSchedule(4), 0); err == nil {
+	if _, err := apps.Run(a, apps.Params{"layers": 3, "particles": 2, "frames": 5}, approx.AccurateSchedule(4), 0); err == nil {
 		t.Fatal("want error for too few particles")
 	}
 }

@@ -206,17 +206,31 @@ func deflateFilter(src, prevOut frame, level, frameIdx int, rec *trace.Recorder)
 	return dst
 }
 
-// Run implements apps.App.
-func (a *App) Run(p apps.Params, sched approx.Schedule, baselineIters int) (apps.Result, error) {
-	if err := sched.Validate(a.Blocks()); err != nil {
-		return apps.Result{}, err
-	}
+// state is one vidpipe run between frames. Every random draw happens in
+// Start (the background texture), so a clone needs no random stream.
+// No frame is written after the iteration that made it, so clones share
+// the texture, the reference frames and the finished output frames.
+type state struct {
+	frames      int
+	edgeFirst   bool
+	texture     []float64
+	qstep       float64
+	deadzone    float64
+	coeffBudget int
+
+	prevRecon, prevEdge, prevDeflate frame
+	recons                           []frame // one reconstruction per finished frame
+	rec                              trace.Recorder
+}
+
+// Start implements apps.App: the clip's texture and the encoder's rate
+// control.
+func (a *App) Start(p apps.Params) (apps.State, error) {
 	pv := p.Vector(a.Params())
 	fps, duration, bitrate := pv[0], pv[1], pv[2]
-	edgeFirst := pv[3] >= 0.5
 	frames := int(fps * duration)
 	if frames < 2 || bitrate <= 0 {
-		return apps.Result{}, fmt.Errorf("vidpipe: invalid parameters fps=%g duration=%g bitrate=%g", fps, duration, bitrate)
+		return nil, fmt.Errorf("vidpipe: invalid parameters fps=%g duration=%g bitrate=%g", fps, duration, bitrate)
 	}
 	rng := rand.New(rand.NewSource(apps.Seed(a.Name(), p)))
 	// Static background texture: fixed per input, so frame-to-frame deltas
@@ -225,82 +239,112 @@ func (a *App) Run(p apps.Params, sched approx.Schedule, baselineIters int) (apps
 	for i := range texture {
 		texture[i] = rng.Float64() * 18
 	}
-
 	// Quantizer: higher bitrate → finer base step → smaller dead zone.
 	qstep := 16.0 / bitrate
-	deadzone := qstep * 0.9
-	// Rate control: each frame may spend at most coeffBudget nonzero
-	// quantized coefficients (that is what "bitrate" buys). A corrupted
-	// reference frame makes every subsequent delta large, so later frames
-	// exhaust their budget repairing old damage instead of encoding their
-	// own content — early-frame errors therefore cost PSNR across the rest
-	// of the stream (paper §5.1.1: "any error introduced in the first few
-	// frames propagated throughout the remaining frames").
-	coeffBudget := int(float64(frameH*frameW) * 0.04 * (bitrate / 4))
+	return &state{
+		frames:    frames,
+		edgeFirst: pv[3] >= 0.5,
+		texture:   texture,
+		qstep:     qstep,
+		deadzone:  qstep * 0.9,
+		// Rate control: each frame may spend at most coeffBudget nonzero
+		// quantized coefficients (that is what "bitrate" buys). A
+		// corrupted reference frame makes every subsequent delta large,
+		// so later frames exhaust their budget repairing old damage
+		// instead of encoding their own content — early-frame errors
+		// therefore cost PSNR across the rest of the stream (paper
+		// §5.1.1: "any error introduced in the first few frames
+		// propagated throughout the remaining frames").
+		coeffBudget: int(float64(frameH*frameW) * 0.04 * (bitrate / 4)),
+		prevRecon:   make(frame, frameH*frameW), // reference frame starts black
+		recons:      make([]frame, 0, frames),
+	}, nil
+}
 
-	var rec trace.Recorder
-	prevRecon := make(frame, frameH*frameW) // reference frame starts black
-	var prevEdge, prevDeflate frame
-	out := make([]float64, 0, frames*frameH*frameW)
-	for t := 0; t < frames; t++ {
-		rec.BeginIteration()
-		phase := approx.PhaseOf(t, baselineIters, sched.Phases)
-		levels := sched.LevelsAt(phase)
+// Step implements apps.State: one frame through the filter chain and the
+// encoder.
+func (s *state) Step(sched approx.Schedule, baselineIters int) bool {
+	t := s.rec.Iterations()
+	if t >= s.frames {
+		return false
+	}
+	rec := &s.rec
+	rec.BeginIteration()
+	levels := sched.LevelsAt(approx.PhaseOf(t, baselineIters, sched.Phases))
 
-		raw := synthFrame(t, frames, texture)
+	raw := synthFrame(t, s.frames, s.texture)
 
-		// Filter chain order is input-dependent (paper Fig. 7 / Fig. 8).
-		var filtered frame
-		if edgeFirst {
-			edged := edgeFilter(raw, prevEdge, levels[BlockEdge], t, &rec)
-			prevEdge = edged
-			filtered = deflateFilter(edged, prevDeflate, levels[BlockDeflate], t, &rec)
-			prevDeflate = filtered
-		} else {
-			deflated := deflateFilter(raw, prevDeflate, levels[BlockDeflate], t, &rec)
-			prevDeflate = deflated
-			filtered = edgeFilter(deflated, prevEdge, levels[BlockEdge], t, &rec)
-			prevEdge = filtered
-		}
+	// Filter chain order is input-dependent (paper Fig. 7 / Fig. 8).
+	var filtered frame
+	if s.edgeFirst {
+		edged := edgeFilter(raw, s.prevEdge, levels[BlockEdge], t, rec)
+		s.prevEdge = edged
+		filtered = deflateFilter(edged, s.prevDeflate, levels[BlockDeflate], t, rec)
+		s.prevDeflate = filtered
+	} else {
+		deflated := deflateFilter(raw, s.prevDeflate, levels[BlockDeflate], t, rec)
+		s.prevDeflate = deflated
+		filtered = edgeFilter(deflated, s.prevEdge, levels[BlockEdge], t, rec)
+		s.prevEdge = filtered
+	}
 
-		// AB: delta encoder with dead-zone quantization and a hard
-		// per-frame coefficient budget (perforation over rows; skipped
-		// rows keep the previous reconstruction's content, i.e. their
-		// delta is silently dropped). Once the budget is spent, remaining
-		// deltas are dropped and must wait for a later frame's budget.
-		recon := make(frame, frameH*frameW)
-		copy(recon, prevRecon)
-		coeffsLeft := coeffBudget
-		encLevel := levels[BlockEncode]
-		if encLevel > 0 {
-			encLevel++
-		}
-		rows := approx.PerforateFraction(frameH, encLevel, 4, t, func(y int) {
-			for x := 0; x < frameW; x++ {
-				idx := y*frameW + x
-				delta := filtered[idx] - prevRecon[idx]
-				var qd float64
-				if math.Abs(delta) >= deadzone && coeffsLeft > 0 {
-					qd = math.Round(delta/qstep) * qstep
-					coeffsLeft--
-				}
-				recon[idx] = prevRecon[idx] + qd
+	// AB: delta encoder with dead-zone quantization and a hard
+	// per-frame coefficient budget (perforation over rows; skipped
+	// rows keep the previous reconstruction's content, i.e. their
+	// delta is silently dropped). Once the budget is spent, remaining
+	// deltas are dropped and must wait for a later frame's budget.
+	prevRecon, qstep, deadzone := s.prevRecon, s.qstep, s.deadzone
+	recon := make(frame, frameH*frameW)
+	copy(recon, prevRecon)
+	coeffsLeft := s.coeffBudget
+	encLevel := levels[BlockEncode]
+	if encLevel > 0 {
+		encLevel++
+	}
+	rows := approx.PerforateFraction(frameH, encLevel, 4, t, func(y int) {
+		for x := 0; x < frameW; x++ {
+			idx := y*frameW + x
+			delta := filtered[idx] - prevRecon[idx]
+			var qd float64
+			if math.Abs(delta) >= deadzone && coeffsLeft > 0 {
+				qd = math.Round(delta/qstep) * qstep
+				coeffsLeft--
 			}
-		})
-		rec.Call("encode", uint64(rows*frameW*costEncode))
-		// Demux, decode, color conversion, and mux: exact per-frame work
-		// the pipeline always pays.
-		rec.Overhead(uint64(frameH * frameW * costRest))
+			recon[idx] = prevRecon[idx] + qd
+		}
+	})
+	rec.Call("encode", uint64(rows*frameW*costEncode))
+	// Demux, decode, color conversion, and mux: exact per-frame work
+	// the pipeline always pays.
+	rec.Overhead(uint64(frameH * frameW * costRest))
 
-		prevRecon = recon
-		out = append(out, recon...)
+	s.prevRecon = recon
+	s.recons = append(s.recons, recon)
+	return true
+}
+
+// Clone implements apps.State. The capped recons slice makes the clone's
+// first append copy the frame list instead of writing into the
+// original's spare capacity.
+func (s *state) Clone() apps.State {
+	c := *s
+	c.recons = s.recons[:len(s.recons):len(s.recons)]
+	c.rec = s.rec.Clone()
+	return &c
+}
+
+// Result implements apps.State: every reconstructed frame, in order.
+func (s *state) Result() apps.Result {
+	out := make([]float64, 0, len(s.recons)*frameH*frameW)
+	for _, f := range s.recons {
+		out = append(out, f...)
 	}
 	return apps.Result{
 		Output:     out,
-		Work:       rec.TotalWork(),
-		OuterIters: rec.Iterations(),
-		CtxSig:     rec.ContextSignature(),
-	}, nil
+		Work:       s.rec.TotalWork(),
+		OuterIters: s.rec.Iterations(),
+		CtxSig:     s.rec.ContextSignature(),
+	}
 }
 
 var _ apps.App = (*App)(nil)

@@ -11,7 +11,7 @@ import (
 func golden(t *testing.T, p apps.Params) apps.Result {
 	t.Helper()
 	a := New()
-	res, err := a.Run(p, approx.AccurateSchedule(len(a.Blocks())), 0)
+	res, err := apps.Run(a, p, approx.AccurateSchedule(len(a.Blocks())), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestPSNRMethod(t *testing.T) {
 func TestQoSIsCapMinusPSNR(t *testing.T) {
 	a := New()
 	g := golden(t, apps.DefaultParams(a))
-	approxRun, err := a.Run(apps.DefaultParams(a), approx.UniformSchedule(1, approx.Config{3, 0, 0}), g.OuterIters)
+	approxRun, err := apps.Run(a, apps.DefaultParams(a), approx.UniformSchedule(1, approx.Config{3, 0, 0}), g.OuterIters)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,10 +118,10 @@ func TestLatePhaseNearlyFree(t *testing.T) {
 
 func TestInvalidParams(t *testing.T) {
 	a := New()
-	if _, err := a.Run(apps.Params{"fps": 0, "duration": 2, "bitrate": 4}, approx.AccurateSchedule(3), 0); err == nil {
+	if _, err := apps.Run(a, apps.Params{"fps": 0, "duration": 2, "bitrate": 4}, approx.AccurateSchedule(3), 0); err == nil {
 		t.Fatal("want error for zero fps")
 	}
-	if _, err := a.Run(apps.Params{"fps": 12, "duration": 2, "bitrate": 0}, approx.AccurateSchedule(3), 0); err == nil {
+	if _, err := apps.Run(a, apps.Params{"fps": 12, "duration": 2, "bitrate": 0}, approx.AccurateSchedule(3), 0); err == nil {
 		t.Fatal("want error for zero bitrate")
 	}
 }

@@ -40,29 +40,15 @@ func (benchApp) Params() []apps.ParamSpec {
 	}
 }
 
-func (a benchApp) Run(p apps.Params, sched approx.Schedule, baselineIters int) (apps.Result, error) {
-	if err := sched.Validate(a.Blocks()); err != nil {
-		return apps.Result{}, err
-	}
+func (a benchApp) Start(p apps.Params) (apps.State, error) {
 	size := p.Vector(a.Params())[0]
-	var rec trace.Recorder
-	damage := 0.0
-	for iter := 0; iter < toyIters; iter++ {
-		rec.BeginIteration()
-		ph := approx.PhaseOf(iter, baselineIters, sched.Phases)
-		lv := sched.LevelsAt(ph)
+	return &toyState{sig: "alpha>beta>gamma", iterate: func(rec *trace.Recorder, iter int, lv approx.Config) float64 {
 		rec.Call("alpha", uint64((12-2*lv[0])*int(size)))
 		rec.Call("beta", uint64((10-lv[1])*int(size)))
 		rec.Call("gamma", uint64((8+2*lv[2])*int(size)))
 		rec.Overhead(uint64(10 * size))
-		damage += toyPhaseWeight(iter) * (0.4*float64(lv[0]) + 0.6*float64(lv[1]) + 1.0*float64(lv[2]))
-	}
-	return apps.Result{
-		Output:     []float64{100 + damage, 50},
-		Work:       rec.TotalWork(),
-		OuterIters: rec.Iterations(),
-		CtxSig:     "alpha>beta>gamma",
-	}, nil
+		return toyPhaseWeight(iter) * (0.4*float64(lv[0]) + 0.6*float64(lv[1]) + 1.0*float64(lv[2]))
+	}}, nil
 }
 
 func (benchApp) QoS(exact, approximate []float64) (float64, error) {

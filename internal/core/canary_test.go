@@ -36,29 +36,16 @@ func (sizeBiasedApp) QoS(exact, approximate []float64) (float64, error) {
 	return qos.Distortion(exact, approximate)
 }
 
-func (a sizeBiasedApp) Run(p apps.Params, sched approx.Schedule, baselineIters int) (apps.Result, error) {
-	if err := sched.Validate(a.Blocks()); err != nil {
-		return apps.Result{}, err
-	}
+func (a sizeBiasedApp) Start(p apps.Params) (apps.State, error) {
 	size := p.Vector(a.Params())[0]
-	var rec trace.Recorder
-	damage := 0.0
-	for iter := 0; iter < toyIters; iter++ {
-		rec.BeginIteration()
-		lv := sched.LevelsAt(approx.PhaseOf(iter, baselineIters, sched.Phases))[0]
-		rec.Call("kernel", uint64((8-2*lv)*int(size)))
+	return &toyState{sig: "kernel", iterate: func(rec *trace.Recorder, iter int, lv approx.Config) float64 {
+		rec.Call("kernel", uint64((8-2*lv[0])*int(size)))
 		rec.Overhead(uint64(8 * size))
 		// Quadratic size coupling: the canary sizes underestimate it.
 		// Scaled so the production-size degradation stays below the
 		// 200% reporting cap (predictions clamp there).
-		damage += float64(lv) * (size / 40) * (size / 40)
-	}
-	return apps.Result{
-		Output:     []float64{100 + damage, 50},
-		Work:       rec.TotalWork(),
-		OuterIters: rec.Iterations(),
-		CtxSig:     "kernel",
-	}, nil
+		return float64(lv[0]) * (size / 40) * (size / 40)
+	}}, nil
 }
 
 var _ apps.App = sizeBiasedApp{}

@@ -41,28 +41,49 @@ func toyPhaseWeight(iter int) float64 {
 	return 6 - 5*float64(iter)/float64(toyIters-1)
 }
 
-func (a toyApp) Run(p apps.Params, sched approx.Schedule, baselineIters int) (apps.Result, error) {
-	if err := sched.Validate(a.Blocks()); err != nil {
-		return apps.Result{}, err
-	}
+func (a toyApp) Start(p apps.Params) (apps.State, error) {
 	size := p.Vector(a.Params())[0]
-	var rec trace.Recorder
-	damage := 0.0
-	for iter := 0; iter < toyIters; iter++ {
-		rec.BeginIteration()
-		ph := approx.PhaseOf(iter, baselineIters, sched.Phases)
-		lv := sched.LevelsAt(ph)
+	return &toyState{sig: "alpha>beta", iterate: func(rec *trace.Recorder, iter int, lv approx.Config) float64 {
 		rec.Call("alpha", uint64((8-2*lv[0])*int(size)))
 		rec.Call("beta", uint64((6-2*lv[1])*int(size)))
 		rec.Overhead(uint64(14 * size))
-		damage += toyPhaseWeight(iter) * (float64(lv[0]) + 1.5*float64(lv[1]))
+		return toyPhaseWeight(iter) * (float64(lv[0]) + 1.5*float64(lv[1]))
+	}}, nil
+}
+
+// toyState is the stepped run every core test app shares: toyIters
+// fixed iterations, each recording the work and returning the damage
+// its app's iterate function assigns to that iteration's levels.
+type toyState struct {
+	iterate func(rec *trace.Recorder, iter int, lv approx.Config) float64
+	sig     string
+	damage  float64
+	rec     trace.Recorder
+}
+
+func (s *toyState) Step(sched approx.Schedule, baselineIters int) bool {
+	iter := s.rec.Iterations()
+	if iter >= toyIters {
+		return false
 	}
+	s.rec.BeginIteration()
+	s.damage += s.iterate(&s.rec, iter, sched.LevelsAt(approx.PhaseOf(iter, baselineIters, sched.Phases)))
+	return true
+}
+
+func (s *toyState) Clone() apps.State {
+	c := *s
+	c.rec = s.rec.Clone()
+	return &c
+}
+
+func (s *toyState) Result() apps.Result {
 	return apps.Result{
-		Output:     []float64{100 + damage, 50},
-		Work:       rec.TotalWork(),
-		OuterIters: rec.Iterations(),
-		CtxSig:     "alpha>beta",
-	}, nil
+		Output:     []float64{100 + s.damage, 50},
+		Work:       s.rec.TotalWork(),
+		OuterIters: s.rec.Iterations(),
+		CtxSig:     s.sig,
+	}
 }
 
 func (toyApp) QoS(exact, approximate []float64) (float64, error) {
@@ -371,8 +392,8 @@ func TestTrainSeedsDeterministic(t *testing.T) {
 // errApp fails on every run, to exercise error propagation.
 type errApp struct{ toyApp }
 
-func (errApp) Run(apps.Params, approx.Schedule, int) (apps.Result, error) {
-	return apps.Result{}, fmt.Errorf("boom")
+func (errApp) Start(apps.Params) (apps.State, error) {
+	return nil, fmt.Errorf("boom")
 }
 
 func TestTrainPropagatesRunErrors(t *testing.T) {
@@ -393,37 +414,22 @@ func (twoPathApp) Params() []apps.ParamSpec {
 	}
 }
 
-func (a twoPathApp) Run(p apps.Params, sched approx.Schedule, baselineIters int) (apps.Result, error) {
-	if err := sched.Validate(a.Blocks()); err != nil {
-		return apps.Result{}, err
-	}
+func (a twoPathApp) Start(p apps.Params) (apps.State, error) {
 	pv := p.Vector(a.Params())
 	size, mode := pv[0], pv[1]
-	var rec trace.Recorder
-	damage := 0.0
-	for iter := 0; iter < toyIters; iter++ {
-		rec.BeginIteration()
-		ph := approx.PhaseOf(iter, baselineIters, sched.Phases)
-		lv := sched.LevelsAt(ph)
-		rec.Call("alpha", uint64((8-2*lv[0])*int(size)))
-		rec.Call("beta", uint64((6-2*lv[1])*int(size)))
-		rec.Overhead(uint64(14 * size))
-		if mode < 0.5 {
-			damage += toyPhaseWeight(iter) * (float64(lv[0]) + 1.5*float64(lv[1]))
-		} else {
-			damage += toyPhaseWeight(iter) * (2.5*float64(lv[0]) + 0.5*float64(lv[1]))
-		}
-	}
 	sig := "alpha>beta"
 	if mode >= 0.5 {
 		sig = "beta>alpha"
 	}
-	return apps.Result{
-		Output:     []float64{100 + damage, 50},
-		Work:       rec.TotalWork(),
-		OuterIters: rec.Iterations(),
-		CtxSig:     sig,
-	}, nil
+	return &toyState{sig: sig, iterate: func(rec *trace.Recorder, iter int, lv approx.Config) float64 {
+		rec.Call("alpha", uint64((8-2*lv[0])*int(size)))
+		rec.Call("beta", uint64((6-2*lv[1])*int(size)))
+		rec.Overhead(uint64(14 * size))
+		if mode < 0.5 {
+			return toyPhaseWeight(iter) * (float64(lv[0]) + 1.5*float64(lv[1]))
+		}
+		return toyPhaseWeight(iter) * (2.5*float64(lv[0]) + 0.5*float64(lv[1]))
+	}}, nil
 }
 
 func TestControlFlowClassification(t *testing.T) {

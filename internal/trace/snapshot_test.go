@@ -111,3 +111,31 @@ func TestZeroRecorderSnapshot(t *testing.T) {
 		t.Errorf("zero round-trip not zero: %s", back)
 	}
 }
+
+// TestCloneIsolated verifies a clone reports what its original did and
+// that recording into one never reaches the other — a checkpointed run
+// and every run resumed from it share nothing.
+func TestCloneIsolated(t *testing.T) {
+	r := record()
+	c := r.Clone()
+	if !reflect.DeepEqual(c.Snapshot(), r.Snapshot()) {
+		t.Fatalf("clone differs:\n got %+v\nwant %+v", c.Snapshot(), r.Snapshot())
+	}
+	want := r.Snapshot()
+	c.Call("strain", 5)
+	c.BeginIteration()
+	c.Call("late", 7)
+	if !reflect.DeepEqual(r.Snapshot(), want) {
+		t.Errorf("original mutated by recording into its clone: %+v", r.Snapshot())
+	}
+	if c.TotalWork() != r.TotalWork()+12 || c.Iterations() != 3 || c.BlockWork("strain") != 14 {
+		t.Errorf("clone accounting wrong: %s", &c)
+	}
+	var zero Recorder
+	z := zero.Clone()
+	z.BeginIteration()
+	z.Call("a", 1)
+	if zero.Iterations() != 0 || zero.TotalWork() != 0 || z.ContextSignature() != "a" {
+		t.Errorf("zero clone not independent: zero %s clone %s", &zero, &z)
+	}
+}

@@ -26,6 +26,25 @@ type Recorder struct {
 	perBlock map[string]uint64
 }
 
+// Clone returns an independent copy of r: recording into either one never
+// affects the other. A run resumed from a checkpoint carries the clone, so
+// its accounting includes the checkpointed prefix.
+func (r *Recorder) Clone() Recorder {
+	c := Recorder{
+		totalWork: r.totalWork,
+		iters:     r.iters,
+		perIter:   append([]uint64(nil), r.perIter...),
+		ctxOnce:   append([]string(nil), r.ctxOnce...),
+	}
+	if r.perBlock != nil {
+		c.perBlock = make(map[string]uint64, len(r.perBlock))
+		for b, w := range r.perBlock {
+			c.perBlock[b] = w
+		}
+	}
+	return c
+}
+
 // BeginIteration marks the start of an outer-loop iteration.
 func (r *Recorder) BeginIteration() {
 	r.iters++
