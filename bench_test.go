@@ -136,12 +136,16 @@ func benchRunAll(b *testing.B, parallelism int) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		results, err := experiments.RunAll(context.Background(), s, exps, parallelism)
+		n := 0
+		err := experiments.RunAllFunc(context.Background(), s, exps, parallelism, func(experiments.RunResult) error {
+			n++
+			return nil
+		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(results) != len(exps) {
-			b.Fatalf("got %d results, want %d", len(results), len(exps))
+		if n != len(exps) {
+			b.Fatalf("got %d results, want %d", n, len(exps))
 		}
 	}
 }

@@ -22,7 +22,8 @@
 //	GET  /metricsz
 //
 // Model files are read from -models (path traversal outside it is
-// rejected) and cached after one validated load. A dispatch whose model
+// rejected) and cached after one validated load; a transient read
+// error is retried twice, after 25ms and 50ms. A dispatch whose model
 // is missing or corrupt returns the all-accurate schedule with
 // "degraded": true unless the request sets "strict": true. Pass -addr
 // with port 0 to bind an ephemeral port; the chosen address is printed
@@ -46,25 +47,26 @@
 // are persisted into -models atomically. -proactive adds the Capri-style
 // controller: between retrains, observed degradation residuals tighten
 // the served budget open-loop (see X-Opprox-Correction on corrected
-// responses). The loop's thresholds are serve.Options fields with
-// tested defaults; they are not flags.
+// responses). The loop's thresholds are tested constants or
+// serve.Options defaults; they are not flags.
 //
 // Serving at scale: repeat dispatches are answered from a bounded
-// dispatch-plan cache (-plan-cache), transparently — responses stay
-// byte-identical to uncached serving. Passing
-// -shard-self and -shard-replicas makes this process one replica of a
-// sharded fleet: models are partitioned across replicas by rendezvous
-// hashing and any replica proxies requests for models it does not own
-// to the owner (see GET /v1/cluster).
+// dispatch-plan cache (serve.DefaultPlanCacheCap entries),
+// transparently — responses stay byte-identical to uncached serving.
+// Passing -shard-self and -shard-replicas makes this process one
+// replica of a sharded fleet: models are partitioned across replicas
+// by rendezvous hashing and any replica proxies requests for models it
+// does not own to the owner (see GET /v1/cluster).
 //
 // Overload handling: concurrent dispatch computations are capped
-// (-max-inflight) and a load-adaptive degradation ladder serves
-// cache hits, budget-coarsened plans (-coarse-quantum), then a
-// deterministic all-accurate fallback, then 429 + Retry-After as
-// pressure rises — see GET /v1/admission. Optional rate limiting
-// (-client-rate, -global-rate, -failure-limit and friends) fronts
-// /v1/dispatch and /v1/feedback with per-client and global token
-// buckets plus an invalid-body lockout.
+// (serve.DefaultMaxInFlight) and a load-adaptive degradation ladder
+// serves cache hits, plans at budgets rounded down to a multiple of 5,
+// then a deterministic all-accurate fallback, then 429 + Retry-After
+// as pressure rises — see GET /v1/admission, whose POST
+// {"force_step": N} pins the ladder. Optional rate limiting
+// (-client-rate, -client-burst, -global-rate, -failure-limit,
+// -lockout) fronts /v1/dispatch and /v1/feedback with per-client and
+// global token buckets plus an invalid-body lockout.
 package main
 
 import (
@@ -85,7 +87,6 @@ import (
 	"opprox/internal/feedback"
 	"opprox/internal/lifecycle"
 	"opprox/internal/obs"
-	"opprox/internal/qos"
 	"opprox/internal/serve"
 )
 
@@ -113,27 +114,17 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:7077", "listen address (port 0 picks an ephemeral port)")
 	models := flag.String("models", ".", "model store directory")
 	timeout := flag.Duration("timeout", serve.DefaultTimeout, "per-request budget")
-	retries := flag.Int("retries", 2, "extra attempts for transient model-store reads")
-	retryBase := flag.Duration("retry-base", 25*time.Millisecond, "first retry backoff (doubles per attempt)")
 	metrics := flag.String("metrics", "", "write a JSON metrics snapshot to this file on shutdown")
 	feedbackLog := flag.String("feedback-log", "", "append accepted feedback observations to this JSONL file (fsync per entry)")
 	feedbackLogMaxBytes := flag.Int64("feedback-log-max-bytes", 0, "rotate the feedback log into numbered segments past this size (0: never)")
 	autoPromote := flag.Bool("auto-promote", true, "promote a shadow automatically once it beats the live version")
-	planCache := flag.Int("plan-cache", 0, "dispatch-plan cache capacity (0: default, negative: disable)")
 	shardSelf := flag.String("shard-self", "", "this replica's name in a sharded fleet (requires -shard-replicas)")
 	shardReplicas := flag.String("shard-replicas", "", "comma-separated name=url replica set, including self (e.g. a=http://127.0.0.1:7077,b=http://127.0.0.1:7078)")
-	maxInFlight := flag.Int("max-inflight", 0, "max concurrent dispatch computations (0: default, negative: uncapped)")
 	clientRate := flag.Float64("client-rate", 0, "per-client admission rate in requests/s (0: unlimited)")
 	clientBurst := flag.Float64("client-burst", 0, "per-client token-bucket burst (0: defaults from -client-rate)")
 	globalRate := flag.Float64("global-rate", 0, "global admission rate in requests/s across all clients (0: unlimited)")
-	globalBurst := flag.Float64("global-burst", 0, "global token-bucket burst (0: defaults from -global-rate)")
-	failureLimit := flag.Int("failure-limit", 0, "invalid bodies within -failure-window that lock a client out (0: no lockout)")
-	failureWindow := flag.Duration("failure-window", 0, "sliding window for -failure-limit (0: default)")
-	lockout := flag.Duration("lockout", 0, "how long a locked-out client stays rejected (0: default)")
-	maxClients := flag.Int("max-clients", 0, "bound on tracked per-client limiter state (0: default)")
-	coarseQuantum := flag.Float64("coarse-quantum", 0, "budget grid of degradation-ladder step 1 (0: default, negative: no quantization)")
-	ladderDwell := flag.Int("ladder-dwell", 0, "consecutive calm pressure updates before the ladder steps down (0: default)")
-	forceLadderStep := flag.Int("force-ladder-step", -1, "pin the degradation ladder to a step at startup (-1: load-controlled)")
+	failureLimit := flag.Int("failure-limit", 0, "invalid bodies within a 10s window that lock a client out (0: no lockout)")
+	lockout := flag.Duration("lockout", 0, "how long a locked-out client stays rejected (0: 30s)")
 	retrainOn := flag.Bool("retrain", false, "enable online retraining from the feedback log (requires -feedback-log)")
 	proactive := flag.Bool("proactive", false, "enable the proactive controller: correct served budgets from observed degradation residuals")
 	flag.Parse()
@@ -160,40 +151,23 @@ func main() {
 	var adm *admission.Options
 	if *clientRate > 0 || *globalRate > 0 || *failureLimit > 0 {
 		adm = &admission.Options{
-			ClientRate:    *clientRate,
-			ClientBurst:   *clientBurst,
-			GlobalRate:    *globalRate,
-			GlobalBurst:   *globalBurst,
-			FailureLimit:  *failureLimit,
-			FailureWindow: *failureWindow,
-			Lockout:       *lockout,
-			MaxClients:    *maxClients,
+			ClientRate:   *clientRate,
+			ClientBurst:  *clientBurst,
+			GlobalRate:   *globalRate,
+			FailureLimit: *failureLimit,
+			Lockout:      *lockout,
 		}
 	}
 
 	srv := serve.New(serve.Options{
-		Store:   serve.FileStore{Root: *models},
-		Timeout: *timeout,
-		Registry: serve.RegistryOptions{
-			Retries:   *retries,
-			RetryBase: *retryBase,
-		},
-		Lifecycle:     lifecycle.Options{DisableAutoPromote: !*autoPromote},
-		FeedbackLog:   flog,
-		PlanCacheCap:  *planCache,
-		Admission:     adm,
-		MaxInFlight:   *maxInFlight,
-		Ladder:        qos.LadderOptions{Dwell: *ladderDwell},
-		CoarseQuantum: *coarseQuantum,
-		Retrain:       *retrainOn,
-		Proactive:     *proactive,
+		Store:       serve.FileStore{Root: *models},
+		Timeout:     *timeout,
+		Lifecycle:   lifecycle.Options{DisableAutoPromote: !*autoPromote},
+		FeedbackLog: flog,
+		Admission:   adm,
+		Retrain:     *retrainOn,
+		Proactive:   *proactive,
 	})
-	if *forceLadderStep >= 0 {
-		if err := srv.ForceLadderStep(*forceLadderStep); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("degradation ladder pinned to step %d", *forceLadderStep)
-	}
 
 	if (*shardSelf == "") != (*shardReplicas == "") {
 		log.Fatal("-shard-self and -shard-replicas must be set together")

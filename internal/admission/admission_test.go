@@ -259,14 +259,16 @@ func TestGate(t *testing.T) {
 	if err := g.Acquire(context.Background()); err != nil {
 		t.Fatalf("Acquire: %v", err)
 	}
-	if !g.TryAcquire() {
-		t.Fatal("TryAcquire with a free slot failed")
+	if err := g.Acquire(context.Background()); err != nil {
+		t.Fatalf("Acquire with a free slot: %v", err)
 	}
 	if g.InFlight() != 2 {
 		t.Fatalf("InFlight() = %d, want 2", g.InFlight())
 	}
-	if g.TryAcquire() {
-		t.Fatal("TryAcquire past capacity succeeded")
+	canceled, cancelNow := context.WithCancel(context.Background())
+	cancelNow()
+	if err := g.Acquire(canceled); err == nil {
+		t.Fatal("Acquire past capacity succeeded")
 	}
 
 	// A full gate blocks Acquire until the deadline, counting the

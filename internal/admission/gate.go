@@ -45,17 +45,7 @@ func (g *Gate) Acquire(ctx context.Context) error {
 	}
 }
 
-// TryAcquire takes a slot only if one is free right now.
-func (g *Gate) TryAcquire() bool {
-	select {
-	case g.sem <- struct{}{}:
-		return true
-	default:
-		return false
-	}
-}
-
-// Release returns a slot taken by Acquire/TryAcquire.
+// Release returns a slot taken by Acquire.
 func (g *Gate) Release() { <-g.sem }
 
 // InFlight reports current slot holders.

@@ -149,11 +149,6 @@ func (fm *filteredModel) leafPredict(x, scratch []float64) float64 {
 // scale.
 func (fm *filteredModel) fromRaw(v float64) float64 { return fm.scale.from(v) }
 
-// predict evaluates the model and maps back to the natural scale.
-func (fm *filteredModel) predict(full []float64) float64 {
-	return fm.fromRaw(fm.predictRaw(full))
-}
-
 // PhaseModel holds every model OPPROX builds for one execution phase of
 // one control-flow class (paper §3.6).
 type PhaseModel struct {

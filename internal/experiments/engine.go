@@ -23,32 +23,23 @@ type RunResult struct {
 	Duration time.Duration
 }
 
-// RunAll executes the experiments on a worker pool of the given
-// parallelism and returns their results in the order the experiments were
-// given — the presentation order — no matter how execution interleaved.
+// RunAllFunc executes the experiments on a worker pool of the given
+// parallelism and delivers their results in the order the experiments
+// were given — the presentation order — no matter how execution
+// interleaved: emit is called exactly once per experiment, as soon as
+// the result is available (an experiment's result can only be emitted
+// once every earlier experiment has been emitted). emit runs on the
+// calling goroutine's side, never concurrently; returning a non-nil
+// error stops the run and cancels the remaining experiments.
 //
 // Every experiment seeds its own RNG from the suite seed and the shared
 // caches (trained models, golden runs) are deduplicating and
-// deterministic, so the tables RunAll produces are byte-identical to
-// running the same experiments serially. The returned error is the first
-// failure in presentation order (results still carries every outcome).
+// deterministic, so the tables RunAllFunc produces are byte-identical to
+// running the same experiments serially. The returned error is emit's,
+// or else the first failure in presentation order (every outcome is
+// still emitted).
 //
 // Parallelism <= 0 means runtime.NumCPU().
-func RunAll(ctx context.Context, s *Suite, exps []Experiment, parallelism int) ([]RunResult, error) {
-	results := make([]RunResult, 0, len(exps))
-	err := RunAllFunc(ctx, s, exps, parallelism, func(r RunResult) error {
-		results = append(results, r)
-		return nil
-	})
-	return results, err
-}
-
-// RunAllFunc is RunAll with streaming delivery: emit is called exactly
-// once per experiment, in presentation order, as soon as the result is
-// available (an experiment's result can only be emitted once every
-// earlier experiment has been emitted). emit runs on the calling
-// goroutine's side, never concurrently; returning a non-nil error stops
-// the run and cancels the remaining experiments.
 func RunAllFunc(ctx context.Context, s *Suite, exps []Experiment, parallelism int, emit func(RunResult) error) error {
 	if parallelism <= 0 {
 		parallelism = runtime.NumCPU()

@@ -35,6 +35,16 @@ func fakeExps(n int, ran *atomic.Int64) []Experiment {
 	return exps
 }
 
+// runAll collects RunAllFunc's results in presentation order.
+func runAll(ctx context.Context, s *Suite, exps []Experiment, parallelism int) ([]RunResult, error) {
+	var results []RunResult
+	err := RunAllFunc(ctx, s, exps, parallelism, func(r RunResult) error {
+		results = append(results, r)
+		return nil
+	})
+	return results, err
+}
+
 func TestRunAllPreservesOrder(t *testing.T) {
 	exps := fakeExps(8, nil)
 	var emitted []string
@@ -60,7 +70,7 @@ func TestRunAllPreservesOrder(t *testing.T) {
 
 func TestRunAllCollectsAllResults(t *testing.T) {
 	exps := fakeExps(5, nil)
-	results, err := RunAll(context.Background(), nil, exps, 3)
+	results, err := runAll(context.Background(), nil, exps, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +95,7 @@ func TestRunAllReportsFirstErrorInOrder(t *testing.T) {
 	exps[2].Run = func(s *Suite) (*Table, error) { run2(s); return nil, bang2 }
 	exps[4].Run = func(s *Suite) (*Table, error) { run4(s); return nil, bang4 }
 
-	results, err := RunAll(context.Background(), nil, exps, 6)
+	results, err := runAll(context.Background(), nil, exps, 6)
 	if !errors.Is(err, bang2) {
 		t.Fatalf("err = %v, want the presentation-order-first failure %v", err, bang2)
 	}
@@ -135,7 +145,7 @@ func TestRunAllContextCancellation(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 		close(release)
 	}()
-	results, err := RunAll(ctx, nil, exps, 1)
+	results, err := runAll(ctx, nil, exps, 1)
 	if err == nil {
 		t.Fatal("want a context error")
 	}
@@ -153,7 +163,7 @@ func TestRunAllContextCancellation(t *testing.T) {
 }
 
 func TestRunAllEmpty(t *testing.T) {
-	results, err := RunAll(context.Background(), nil, nil, 4)
+	results, err := runAll(context.Background(), nil, nil, 4)
 	if err != nil || len(results) != 0 {
 		t.Fatalf("empty run: %v, %d results", err, len(results))
 	}
@@ -178,7 +188,7 @@ func TestRunAllDeterministicAcrossParallelism(t *testing.T) {
 			}
 			exps = append(exps, e)
 		}
-		results, err := RunAll(context.Background(), s, exps, parallelism)
+		results, err := runAll(context.Background(), s, exps, parallelism)
 		if err != nil {
 			t.Fatal(err)
 		}

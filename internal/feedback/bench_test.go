@@ -28,7 +28,7 @@ func BenchmarkFeedbackIngest(b *testing.B) {
 	for i := 0; i < 512; i++ {
 		recs.Put(&DispatchRecord{ID: fmt.Sprintf("d%03d", i), Model: "m", Phases: 4})
 	}
-	l, err := OpenLog(filepath.Join(b.TempDir(), "telemetry.jsonl"), false)
+	l, err := OpenLogOptions(filepath.Join(b.TempDir(), "telemetry.jsonl"), LogOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func BenchmarkFeedbackIngest(b *testing.B) {
 // BenchmarkLogAppendSync measures the fsync'd telemetry append — the
 // durability cost a deployment pays per acknowledged report.
 func BenchmarkLogAppendSync(b *testing.B) {
-	l, err := OpenLog(filepath.Join(b.TempDir(), "telemetry.jsonl"), true)
+	l, err := OpenLogOptions(filepath.Join(b.TempDir(), "telemetry.jsonl"), LogOptions{Sync: true})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package feedback
 
 import (
 	"math"
-	"os"
 	"path/filepath"
 	"reflect"
 	"sync"
@@ -65,7 +64,7 @@ func TestRecordsFIFOEviction(t *testing.T) {
 
 func TestLogAppendReadAndResume(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "telemetry.jsonl")
-	l, err := OpenLog(path, true)
+	l, err := OpenLogOptions(path, LogOptions{Sync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,12 +77,7 @@ func TestLogAppendReadAndResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	entries, err := ReadLog(f)
-	f.Close()
+	entries, err := ReadLogFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +91,7 @@ func TestLogAppendReadAndResume(t *testing.T) {
 	}
 
 	// Reopening resumes the sequence past the existing tail.
-	l2, err := OpenLog(path, false)
+	l2, err := OpenLogOptions(path, LogOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,12 +99,7 @@ func TestLogAppendReadAndResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	l2.Close()
-	f, err = os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	entries, err = ReadLog(f)
-	f.Close()
+	entries, err = ReadLogFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}

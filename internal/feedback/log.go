@@ -45,8 +45,8 @@ type Entry struct {
 	Levels []int       `json:"levels,omitempty"`
 }
 
-// LogOptions tunes a telemetry log. The zero value matches the historic
-// OpenLog behavior: no fsync, no rotation.
+// LogOptions tunes a telemetry log. The zero value means no fsync and
+// no rotation.
 type LogOptions struct {
 	// Sync fsyncs every append — a crash never loses an acknowledged
 	// feedback report.
@@ -77,15 +77,10 @@ type Log struct {
 	segs     int // rotated segments already on disk
 }
 
-// OpenLog opens (creating if needed) an append-only telemetry log. With
-// sync true every append is fsync'd. The sequence counter resumes past
-// any existing entries so a reopened log stays strictly ordered.
-func OpenLog(path string, sync bool) (*Log, error) {
-	return OpenLogOptions(path, LogOptions{Sync: sync})
-}
-
-// OpenLogOptions is OpenLog with rotation control. The sequence counter
-// resumes past every existing entry, rotated segments included.
+// OpenLogOptions opens (creating if needed) an append-only telemetry
+// log. With opts.Sync every append is fsync'd. The sequence counter
+// resumes past every existing entry, rotated segments included, so a
+// reopened log stays strictly ordered.
 func OpenLogOptions(path string, opts LogOptions) (*Log, error) {
 	segs, err := logSegments(path)
 	if err != nil {
@@ -233,21 +228,6 @@ func logSegments(path string) ([]string, error) {
 	return out, nil
 }
 
-// SegmentPaths returns the on-disk pieces of a (possibly rotated)
-// telemetry log in replay order: rotated segments ascending, then the
-// live file. Concatenating the pieces in this order reproduces the
-// byte stream an unrotated log would have written.
-func SegmentPaths(path string) ([]string, error) {
-	segs, err := logSegments(path)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := os.Stat(path); err == nil {
-		segs = append(segs, path)
-	}
-	return segs, nil
-}
-
 // ScanLog streams every entry of a possibly-rotated telemetry log in
 // sequence order, calling fn per entry — bounded memory regardless of
 // log size (one line at a time). It is safe against a concurrent
@@ -344,19 +324,6 @@ func lastSeq(path string) (uint64, bool) {
 		return 0, false
 	}
 	return last, found
-}
-
-// ReadLog decodes a JSONL telemetry stream (tests, replay tooling).
-func ReadLog(r io.Reader) ([]Entry, error) {
-	var out []Entry
-	err := scanEntries(r, func(e Entry) error {
-		out = append(out, e)
-		return nil
-	}, false)
-	if err != nil {
-		return nil, fmt.Errorf("feedback: %w", err)
-	}
-	return out, nil
 }
 
 // ReadLogFile reads every entry of a possibly-rotated log (tests and

@@ -41,7 +41,7 @@ func TestLogRotationByteIdentity(t *testing.T) {
 	dir := t.TempDir()
 	const n = 50
 
-	plain, err := OpenLog(filepath.Join(dir, "plain.jsonl"), false)
+	plain, err := OpenLogOptions(filepath.Join(dir, "plain.jsonl"), LogOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestLogRotationByteIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	segs, err := SegmentPaths(rotPath)
+	segs, err := logSegments(rotPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestLogRotationByteIdentity(t *testing.T) {
 		t.Fatalf("expected several segments, got %v", segs)
 	}
 	var concat []byte
-	for _, p := range segs {
+	for _, p := range append(segs, rotPath) {
 		b, err := os.ReadFile(p)
 		if err != nil {
 			t.Fatal(err)
@@ -176,9 +176,9 @@ func TestScanLogWhileAppending(t *testing.T) {
 	}
 }
 
-// TestRecordsSnapshotChurn hammers Snapshot against Put eviction churn
-// (run under -race): the snapshot must be taken copy-on-read — no
-// torn state, every element non-nil, FIFO order preserved.
+// TestRecordsSnapshotChurn hammers reads against Put eviction churn
+// (run under -race): every read sees an intact record or none, the
+// store never exceeds its cap, and eviction stays FIFO afterwards.
 func TestRecordsSnapshotChurn(t *testing.T) {
 	const cap, workers, iters = 32, 8, 300
 	recs := NewRecords(cap)
@@ -189,18 +189,16 @@ func TestRecordsSnapshotChurn(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				recs.Put(&DispatchRecord{
-					ID: fmt.Sprintf("d-%d-%d", w, i), Model: "m",
-					Phases: 1, Levels: [][]int{{0}},
-				})
-				snap := recs.Snapshot()
-				if len(snap) > cap {
-					t.Errorf("snapshot larger than cap: %d", len(snap))
+				id := fmt.Sprintf("d-%d-%d", w, i)
+				recs.Put(&DispatchRecord{ID: id, Model: "m", Phases: 1, Levels: [][]int{{0}}})
+				if n := recs.Len(); n > cap {
+					t.Errorf("store larger than cap: %d", n)
 					return
 				}
-				for _, rec := range snap {
-					if rec == nil || rec.ID == "" {
-						t.Error("snapshot contains torn record")
+				for j := i; j >= 0 && j > i-cap; j-- {
+					want := fmt.Sprintf("d-%d-%d", w, j)
+					if rec, ok := recs.Get(want); ok && (rec == nil || rec.ID != want) {
+						t.Errorf("Get(%q) returned torn record %+v", want, rec)
 						return
 					}
 				}
@@ -212,8 +210,18 @@ func TestRecordsSnapshotChurn(t *testing.T) {
 	if got := recs.Len(); got != cap {
 		t.Fatalf("records after churn: %d, want the cap %d", got, cap)
 	}
-	snap := recs.Snapshot()
-	if len(snap) != cap {
-		t.Fatalf("final snapshot: %d records, want %d", len(snap), cap)
+	// cap fresh records evict every churned one, oldest first.
+	for i := 0; i < cap; i++ {
+		recs.Put(&DispatchRecord{ID: fmt.Sprintf("fresh-%d", i), Model: "m"})
+		if _, ok := recs.Get("fresh-0"); !ok {
+			t.Fatalf("oldest fresh record evicted after %d puts", i+1)
+		}
+	}
+	for w := 0; w < workers; w++ {
+		for i := 0; i < iters; i++ {
+			if _, ok := recs.Get(fmt.Sprintf("d-%d-%d", w, i)); ok {
+				t.Fatalf("churned record d-%d-%d survived %d fresh puts", w, i, cap)
+			}
+		}
 	}
 }

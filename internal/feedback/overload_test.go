@@ -7,7 +7,6 @@ package feedback
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -22,7 +21,7 @@ func TestRecordsLogConcurrentChurn(t *testing.T) {
 
 	recs := NewRecords(cap)
 	path := filepath.Join(t.TempDir(), "telemetry.jsonl")
-	l, err := OpenLog(path, false)
+	l, err := OpenLogOptions(path, LogOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,12 +54,7 @@ func TestRecordsLogConcurrentChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	entries, err := ReadLog(f)
+	entries, err := ReadLogFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}

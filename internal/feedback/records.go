@@ -81,19 +81,3 @@ func (r *Records) Len() int {
 	defer r.mu.Unlock()
 	return len(r.byID)
 }
-
-// Snapshot returns the stored records in insertion order (oldest first).
-// Only the slice is built under the lock; the records themselves are
-// shared, which is safe because a record is immutable once Put. This is
-// the extractor-facing iteration API: the retrainer can walk thousands
-// of records without holding the store lock across the walk, so
-// dispatch/feedback traffic is never blocked behind an extraction.
-func (r *Records) Snapshot() []*DispatchRecord {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]*DispatchRecord, 0, len(r.order))
-	for _, id := range r.order {
-		out = append(out, r.byID[id])
-	}
-	return out
-}

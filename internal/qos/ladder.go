@@ -23,7 +23,7 @@ import (
 //
 // Escalation is immediate (overload must be answered now); recovery is
 // hysteretic: pressure must stay below the step's exit threshold —
-// which sits strictly below its entry threshold — for Dwell
+// which sits strictly below its entry threshold — for LadderDwell
 // consecutive updates before the ladder steps down one rung. The gap
 // plus the dwell keeps the controller from flapping when load hovers
 // at a boundary.
@@ -31,75 +31,31 @@ import (
 // LadderSteps is the number of degraded steps (the ladder runs 0..LadderSteps).
 const LadderSteps = 3
 
-// DefaultLadderDwell is the default number of consecutive below-exit
-// updates required to step down one rung.
-const DefaultLadderDwell = 3
+// LadderDwell is the number of consecutive below-exit updates required
+// to step down one rung.
+const LadderDwell = 3
 
-// defaultEnter/defaultExit are the default pressure thresholds for
-// entering and leaving each degraded step (index i governs step i+1).
+// ladderEnter/ladderExit are the pressure thresholds for entering and
+// leaving each degraded step (index i governs step i+1). Enter is
+// non-decreasing and each Exit sits strictly below its Enter: the
+// hysteresis gap.
 var (
-	defaultEnter = [LadderSteps]float64{0.50, 0.75, 0.90}
-	defaultExit  = [LadderSteps]float64{0.35, 0.60, 0.80}
+	ladderEnter = [LadderSteps]float64{0.50, 0.75, 0.90}
+	ladderExit  = [LadderSteps]float64{0.35, 0.60, 0.80}
 )
-
-// LadderOptions tunes a Ladder. The zero value uses the defaults
-// above.
-type LadderOptions struct {
-	// Enter[i] is the pressure at or above which the ladder escalates
-	// from step i to step i+1. Must be non-decreasing.
-	Enter []float64
-	// Exit[i] is the pressure below which step i+1 may de-escalate to
-	// step i (after Dwell consecutive such updates). Exit[i] must be
-	// < Enter[i] — the hysteresis gap.
-	Exit []float64
-	// Dwell is the number of consecutive below-exit updates required
-	// before stepping down (default DefaultLadderDwell; minimum 1).
-	Dwell int
-}
 
 // Ladder is a concurrency-safe hysteresis controller over the
 // degradation steps. It is clock-free: time enters only through the
 // cadence of Update calls, so tests drive it deterministically.
 type Ladder struct {
-	enter [LadderSteps]float64
-	exit  [LadderSteps]float64
-	dwell int
-
 	mu     sync.Mutex
 	step   int
 	calm   int // consecutive updates below the current step's exit threshold
 	forced int // operator override; -1 when inactive
 }
 
-// NewLadder builds a Ladder, validating that the thresholds are
-// ordered (enter non-decreasing, exit strictly below enter per step).
-func NewLadder(opts LadderOptions) (*Ladder, error) {
-	l := &Ladder{enter: defaultEnter, exit: defaultExit, dwell: DefaultLadderDwell, forced: -1}
-	if opts.Enter != nil {
-		if len(opts.Enter) != LadderSteps {
-			return nil, fmt.Errorf("qos: ladder Enter needs %d thresholds, got %d", LadderSteps, len(opts.Enter))
-		}
-		copy(l.enter[:], opts.Enter)
-	}
-	if opts.Exit != nil {
-		if len(opts.Exit) != LadderSteps {
-			return nil, fmt.Errorf("qos: ladder Exit needs %d thresholds, got %d", LadderSteps, len(opts.Exit))
-		}
-		copy(l.exit[:], opts.Exit)
-	}
-	if opts.Dwell > 0 {
-		l.dwell = opts.Dwell
-	}
-	for i := 0; i < LadderSteps; i++ {
-		if i > 0 && l.enter[i] < l.enter[i-1] {
-			return nil, fmt.Errorf("qos: ladder Enter must be non-decreasing (step %d: %g < %g)", i+1, l.enter[i], l.enter[i-1])
-		}
-		if l.exit[i] >= l.enter[i] {
-			return nil, fmt.Errorf("qos: ladder Exit[%d] (%g) must be below Enter[%d] (%g) — no hysteresis gap", i, l.exit[i], i, l.enter[i])
-		}
-	}
-	return l, nil
-}
+// NewLadder builds a Ladder at step 0 under load control.
+func NewLadder() *Ladder { return &Ladder{forced: -1} }
 
 // Update feeds one pressure observation and returns the step to serve
 // at. Escalation applies immediately and can jump multiple rungs in
@@ -117,9 +73,9 @@ func (l *Ladder) Update(pressure float64) int {
 		l.calm = 0
 		return l.step
 	}
-	if l.step > 0 && pressure < l.exit[l.step-1] {
+	if l.step > 0 && pressure < ladderExit[l.step-1] {
 		l.calm++
-		if l.calm >= l.dwell {
+		if l.calm >= LadderDwell {
 			l.step--
 			l.calm = 0
 		}
@@ -133,7 +89,7 @@ func (l *Ladder) Update(pressure float64) int {
 func (l *Ladder) targetStep(pressure float64) int {
 	step := 0
 	for i := 0; i < LadderSteps; i++ {
-		if pressure >= l.enter[i] {
+		if pressure >= ladderEnter[i] {
 			step = i + 1
 		}
 	}

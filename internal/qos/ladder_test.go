@@ -5,17 +5,8 @@ import (
 	"testing"
 )
 
-func mustLadder(t *testing.T, opts LadderOptions) *Ladder {
-	t.Helper()
-	l, err := NewLadder(opts)
-	if err != nil {
-		t.Fatalf("NewLadder: %v", err)
-	}
-	return l
-}
-
 func TestLadderEscalatesImmediately(t *testing.T) {
-	l := mustLadder(t, LadderOptions{})
+	l := NewLadder()
 	if got := l.Update(0.1); got != 0 {
 		t.Fatalf("idle step = %d, want 0", got)
 	}
@@ -32,7 +23,7 @@ func TestLadderEscalatesImmediately(t *testing.T) {
 }
 
 func TestLadderRecoversWithDwell(t *testing.T) {
-	l := mustLadder(t, LadderOptions{Dwell: 3})
+	l := NewLadder()
 	l.Update(0.6) // step 1 (enter 0.50)
 	// Below exit (0.35) but not for long enough: still step 1.
 	if got := l.Update(0.1); got != 1 {
@@ -62,7 +53,7 @@ func TestLadderRecoversWithDwell(t *testing.T) {
 }
 
 func TestLadderHysteresisNoFlap(t *testing.T) {
-	l := mustLadder(t, LadderOptions{Dwell: 2})
+	l := NewLadder()
 	l.Update(0.55) // step 1
 	// Pressure hovering in the gap (between exit 0.35 and enter 0.50)
 	// holds the step forever — no flapping at the boundary.
@@ -73,10 +64,13 @@ func TestLadderHysteresisNoFlap(t *testing.T) {
 	}
 	// A calm streak interrupted by one in-gap observation restarts the
 	// dwell count.
-	l.Update(0.1)                       // calm 1/2
-	l.Update(0.40)                      // resets calm
-	if got := l.Update(0.1); got != 1 { // calm 1/2 again
-		t.Fatalf("step after interrupted streak = %d, want 1", got)
+	l.Update(0.1)  // calm 1/3
+	l.Update(0.1)  // calm 2/3
+	l.Update(0.40) // resets calm
+	for i := 1; i < LadderDwell; i++ {
+		if got := l.Update(0.1); got != 1 {
+			t.Fatalf("step after interrupted streak + %d calm = %d, want 1", i, got)
+		}
 	}
 	if got := l.Update(0.1); got != 0 {
 		t.Fatalf("step after full streak = %d, want 0", got)
@@ -84,7 +78,7 @@ func TestLadderHysteresisNoFlap(t *testing.T) {
 }
 
 func TestLadderForce(t *testing.T) {
-	l := mustLadder(t, LadderOptions{})
+	l := NewLadder()
 	if err := l.Force(2); err != nil {
 		t.Fatalf("Force(2): %v", err)
 	}
@@ -112,7 +106,7 @@ func TestLadderForce(t *testing.T) {
 	if got := l.Step(); got != 2 {
 		t.Fatalf("Step() after clear = %d, want 2 (resume where forced)", got)
 	}
-	for i := 0; i < DefaultLadderDwell; i++ {
+	for i := 0; i < LadderDwell; i++ {
 		l.Update(0.0)
 	}
 	if got := l.Step(); got != 1 {
@@ -120,23 +114,8 @@ func TestLadderForce(t *testing.T) {
 	}
 }
 
-func TestLadderOptionValidation(t *testing.T) {
-	if _, err := NewLadder(LadderOptions{Enter: []float64{0.5, 0.4, 0.9}, Exit: []float64{0.3, 0.3, 0.8}}); err == nil {
-		t.Fatal("decreasing Enter accepted")
-	}
-	if _, err := NewLadder(LadderOptions{Enter: []float64{0.5, 0.7, 0.9}, Exit: []float64{0.5, 0.6, 0.8}}); err == nil {
-		t.Fatal("Exit >= Enter (no hysteresis gap) accepted")
-	}
-	if _, err := NewLadder(LadderOptions{Enter: []float64{0.5}}); err == nil {
-		t.Fatal("short Enter accepted")
-	}
-	if l, err := NewLadder(LadderOptions{Enter: []float64{0.4, 0.6, 0.8}, Exit: []float64{0.2, 0.5, 0.7}, Dwell: 1}); err != nil || l == nil {
-		t.Fatalf("valid custom options rejected: %v", err)
-	}
-}
-
 func TestLadderConcurrent(t *testing.T) {
-	l := mustLadder(t, LadderOptions{})
+	l := NewLadder()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

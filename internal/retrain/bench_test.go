@@ -12,7 +12,7 @@ import (
 func BenchmarkExtract(b *testing.B) {
 	tr := loadModel(b)
 	path := filepath.Join(b.TempDir(), "telemetry.jsonl")
-	l, err := feedback.OpenLog(path, false)
+	l, err := feedback.OpenLogOptions(path, feedback.LogOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func BenchmarkExtract(b *testing.B) {
 func BenchmarkRedetect(b *testing.B) {
 	tr := loadModel(b)
 	path := filepath.Join(b.TempDir(), "telemetry.jsonl")
-	l, err := feedback.OpenLog(path, false)
+	l, err := feedback.OpenLogOptions(path, feedback.LogOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -56,8 +56,7 @@ type Matrix struct {
 	Model string
 	Rows  []Row
 	// Total counts every log entry seen for the model; Skipped counts
-	// those that carried no dispatch context (written by an older build)
-	// and had no backfill record.
+	// those that carried no dispatch context (written by an older build).
 	Total   int
 	Skipped int
 }
@@ -69,18 +68,12 @@ type ExtractOptions struct {
 	// MaxRows keeps only the most recent rows (by log sequence);
 	// 0 means DefaultMaxRows.
 	MaxRows int
-	// Backfill optionally maps dispatch IDs to their in-memory dispatch
-	// records, so entries written before the log carried dispatch
-	// context (params/levels) can still become rows. The caller passes a
-	// lock-free snapshot (feedback.Records.Snapshot) — extraction never
-	// holds the record store's lock.
-	Backfill map[string]*feedback.DispatchRecord
 }
 
 // Extract replays a possibly-rotated telemetry log into a training
 // matrix: streaming (one line in memory at a time), bounded (at most
 // 2*MaxRows rows held during the replay), and deterministic (the row
-// set is a pure function of the log bytes + backfill records, and the
+// set is a pure function of the log bytes, and the
 // row order is keyed by dispatch ID). Entries for other models are
 // ignored without counting.
 func Extract(path string, opts ExtractOptions) (*Matrix, error) {
@@ -102,16 +95,7 @@ func Extract(path string, opts ExtractOptions) (*Matrix, error) {
 		// has at least one block, so empty levels means the entry predates
 		// context-carrying telemetry. Params may legitimately be empty (a
 		// dispatch that relied on the app's defaults).
-		params, levels := e.Params, e.Levels
-		if len(levels) == 0 {
-			if rec := opts.Backfill[e.DispatchID]; rec != nil {
-				params = rec.Params
-				if e.Phase >= 0 && e.Phase < len(rec.Levels) {
-					levels = rec.Levels[e.Phase]
-				}
-			}
-		}
-		if len(levels) == 0 {
+		if len(e.Levels) == 0 {
 			m.Skipped++
 			return nil
 		}
@@ -120,8 +104,8 @@ func Extract(path string, opts ExtractOptions) (*Matrix, error) {
 			DispatchID:  e.DispatchID,
 			Version:     e.Version,
 			Phase:       e.Phase,
-			Params:      params,
-			Levels:      levels,
+			Params:      e.Params,
+			Levels:      e.Levels,
 			Speedup:     e.Speedup,
 			Degradation: e.Degradation,
 			SpeedupRes:  e.SpeedupRes,

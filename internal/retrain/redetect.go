@@ -65,7 +65,7 @@ func Redetect(live *core.Trained, rows []Row, threshold float64, minSamples int)
 		return nil, errors.New("retrain: Redetect needs the live model")
 	}
 	if threshold <= 0 {
-		threshold = DefaultRedetectThreshold
+		threshold = redetectThreshold
 	}
 	if minSamples < 4 {
 		minSamples = 4

@@ -13,12 +13,18 @@ import (
 	"opprox/internal/obs"
 )
 
-// Defaults for Options; a zero Options retrains sensibly.
 const (
-	DefaultMinSamples        = 32
-	DefaultRedetectThreshold = 0.15
-	DefaultHoldoutFrac       = 0.25
-	DefaultSeed              = 1
+	// DefaultMinSamples is Options.MinSamples' zero value.
+	DefaultMinSamples = 32
+	// redetectThreshold is the phase re-detection divergence threshold
+	// on the models' log scales.
+	redetectThreshold = 0.15
+	// holdoutFrac is the fraction of rows (the most recent, by log
+	// sequence) held out for candidate selection.
+	holdoutFrac = 0.25
+	// refitSeed drives every stochastic step (CV fold shuffles); fixed
+	// seed + fixed telemetry prefix = byte-identical artifacts.
+	refitSeed = 1
 	// minGroupRows is the smallest per-(class, group) row count worth a
 	// refit — below it the trained models stay (core.RetrainGlobal's
 	// floor is the 4 rows two-fold CV needs; this is deliberately
@@ -29,39 +35,8 @@ const (
 // Options tunes a retrain run.
 type Options struct {
 	// MinSamples is how many extracted rows a retrain needs; below it
-	// Retrain returns ErrInsufficientData (default 32).
+	// Retrain returns ErrInsufficientData (default DefaultMinSamples).
 	MinSamples int
-	// MaxRows bounds extraction (default DefaultMaxRows); plumbed by the
-	// Retrainer, unused by Retrain itself.
-	MaxRows int
-	// RedetectThreshold is the phase re-detection divergence threshold
-	// on the models' log scales (default 0.15).
-	RedetectThreshold float64
-	// HoldoutFrac is the fraction of rows (the most recent, by log
-	// sequence) held out for candidate selection (default 0.25).
-	HoldoutFrac float64
-	// Seed drives every stochastic step (CV fold shuffles); fixed seed +
-	// fixed telemetry prefix = byte-identical artifacts (default 1).
-	Seed int64
-}
-
-func (o Options) withDefaults() Options {
-	if o.MinSamples <= 0 {
-		o.MinSamples = DefaultMinSamples
-	}
-	if o.MaxRows <= 0 {
-		o.MaxRows = DefaultMaxRows
-	}
-	if o.RedetectThreshold <= 0 {
-		o.RedetectThreshold = DefaultRedetectThreshold
-	}
-	if o.HoldoutFrac <= 0 || o.HoldoutFrac >= 1 {
-		o.HoldoutFrac = DefaultHoldoutFrac
-	}
-	if o.Seed == 0 {
-		o.Seed = DefaultSeed
-	}
-	return o
 }
 
 // Retrain errors; the serving layer maps them onto its HTTP taxonomy.
@@ -127,13 +102,15 @@ type Result struct {
 // candidate starts from a clone of those exact bytes, so the run is a
 // pure function of (liveRaw, matrix, opts): invariant D14.
 //
-// The holdout is the most RECENT HoldoutFrac of the rows (by log
+// The holdout is the most RECENT holdoutFrac of the rows (by log
 // sequence): candidates train on the past and are judged on the
 // present, which is the only honest split for drifted telemetry.
 func Retrain(liveRaw []byte, m *Matrix, opts Options) (*Result, error) {
 	stop := obs.Timer("retrain.duration")
 	defer stop()
-	opts = opts.withDefaults()
+	if opts.MinSamples <= 0 {
+		opts.MinSamples = DefaultMinSamples
+	}
 	res := &Result{Model: m.Model, LiveVersion: lifecycle.Version(liveRaw), Rows: len(m.Rows), Skipped: m.Skipped}
 	if len(m.Rows) < opts.MinSamples {
 		return nil, fmt.Errorf("%w: %d rows for model %q, need %d", ErrInsufficientData, len(m.Rows), m.Model, opts.MinSamples)
@@ -146,7 +123,7 @@ func Retrain(liveRaw []byte, m *Matrix, opts Options) (*Result, error) {
 	// Deterministic train/holdout split on the sequence axis.
 	bySeq := append([]Row(nil), m.Rows...)
 	sortBySeq(bySeq)
-	nHold := int(math.Ceil(opts.HoldoutFrac * float64(len(bySeq))))
+	nHold := int(math.Ceil(holdoutFrac * float64(len(bySeq))))
 	if nHold < 1 {
 		nHold = 1
 	}
@@ -165,7 +142,7 @@ func Retrain(liveRaw []byte, m *Matrix, opts Options) (*Result, error) {
 	if minPost < 8 {
 		minPost = 8
 	}
-	seg, err := Redetect(live, trainRows, opts.RedetectThreshold, minPost)
+	seg, err := Redetect(live, trainRows, redetectThreshold, minPost)
 	if err != nil {
 		return nil, err
 	}
@@ -179,9 +156,9 @@ func Retrain(liveRaw []byte, m *Matrix, opts Options) (*Result, error) {
 	// Candidates in fixed order; ties in holdout error resolve to the
 	// earlier (simpler) strategy.
 	res.Candidates = append(res.Candidates, buildRecalibrate(liveRaw, live, train))
-	res.Candidates = append(res.Candidates, buildRefit(liveRaw, "refit", nil, train, opts.Seed))
+	res.Candidates = append(res.Candidates, buildRefit(liveRaw, "refit", nil, train))
 	if seg.Diverged && hasPooledGroup(seg.Groups) {
-		res.Candidates = append(res.Candidates, buildRefit(liveRaw, "refit-pooled", seg.Groups, train, opts.Seed))
+		res.Candidates = append(res.Candidates, buildRefit(liveRaw, "refit-pooled", seg.Groups, train))
 	}
 
 	winner := -1
@@ -275,7 +252,7 @@ func buildRecalibrate(liveRaw []byte, live *core.Trained, train []Row) Candidate
 // buildRefit clones the live bytes and refits the global models from
 // the training rows, singleton phases (groups == nil) or the
 // re-detected pooled groups.
-func buildRefit(liveRaw []byte, name string, groups [][]int, train []Row, seed int64) Candidate {
+func buildRefit(liveRaw []byte, name string, groups [][]int, train []Row) Candidate {
 	c := Candidate{Name: name}
 	clone, err := core.LoadTrained(bytes.NewReader(liveRaw))
 	if err != nil {
@@ -292,7 +269,7 @@ func buildRefit(liveRaw []byte, name string, groups [][]int, train []Row, seed i
 			Degradation: r.Degradation,
 		}
 	}
-	refit, err := clone.RetrainGlobal(samples, groups, minGroupRows, seed)
+	refit, err := clone.RetrainGlobal(samples, groups, minGroupRows, refitSeed)
 	if err != nil {
 		c.Err = err.Error()
 		return c

@@ -117,7 +117,8 @@ func TestExtractOrderBoundingBackfill(t *testing.T) {
 	}
 	params := apps.Params{"x": 1}
 	// Interleave: target-model entries with context, other-model noise,
-	// context-free entries (half backfillable, half not).
+	// and context-free entries (written by a build that predates
+	// context-carrying telemetry), which decode but are skipped.
 	for i := 0; i < 40; i++ {
 		e := feedback.Entry{
 			DispatchID: fmt.Sprintf("z%02d", 40-i), // IDs descend as seq ascends
@@ -129,9 +130,9 @@ func TestExtractOrderBoundingBackfill(t *testing.T) {
 		case i%4 == 1:
 			e.Model = "other"
 		case i%4 == 2:
-			e.DispatchID = fmt.Sprintf("nf%02d", i) // context-free, backfillable
+			e.DispatchID = fmt.Sprintf("nf%02d", i) // context-free
 		case i%4 == 3:
-			e.DispatchID = "gone" // context-free, no backfill record
+			e.DispatchID = "gone" // context-free
 		default:
 			e.Params = params
 			e.Levels = []int{1, 0}
@@ -144,27 +145,18 @@ func TestExtractOrderBoundingBackfill(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	backfill := map[string]*feedback.DispatchRecord{}
-	for i := 0; i < 40; i++ {
-		if i%4 == 2 {
-			backfill[fmt.Sprintf("nf%02d", i)] = &feedback.DispatchRecord{
-				ID: fmt.Sprintf("nf%02d", i), Model: "m",
-				Params: params, Levels: [][]int{{2, 2}, {1, 1}},
-			}
-		}
-	}
-	m, err := Extract(path, ExtractOptions{Model: "m", Backfill: backfill})
+	m, err := Extract(path, ExtractOptions{Model: "m"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.Total != 30 { // 40 minus the 10 "other" entries
 		t.Fatalf("Total = %d, want 30", m.Total)
 	}
-	if m.Skipped != 10 { // the "gone" quarter
-		t.Fatalf("Skipped = %d, want 10", m.Skipped)
+	if m.Skipped != 20 { // the two context-free quarters
+		t.Fatalf("Skipped = %d, want 20", m.Skipped)
 	}
-	if len(m.Rows) != 20 {
-		t.Fatalf("rows = %d, want 20", len(m.Rows))
+	if len(m.Rows) != 10 {
+		t.Fatalf("rows = %d, want 10", len(m.Rows))
 	}
 	for i := 1; i < len(m.Rows); i++ {
 		a, b := m.Rows[i-1], m.Rows[i]
@@ -177,13 +169,10 @@ func TestExtractOrderBoundingBackfill(t *testing.T) {
 		if len(r.Params) == 0 || len(r.Levels) == 0 {
 			t.Fatalf("row without context survived extraction: %+v", r)
 		}
-		if r.DispatchID[:2] == "nf" && r.Levels[0] != backfill[r.DispatchID].Levels[r.Phase][0] {
-			t.Fatalf("backfilled row has wrong levels: %+v", r)
-		}
 	}
 
 	// Bounding keeps the most recent rows by seq regardless of ID order.
-	bounded, err := Extract(path, ExtractOptions{Model: "m", MaxRows: 5, Backfill: backfill})
+	bounded, err := Extract(path, ExtractOptions{Model: "m", MaxRows: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +208,7 @@ func TestRedetectChangepointAndGrouping(t *testing.T) {
 	// Faithful-only telemetry: no changepoint, no divergence, singleton
 	// groups.
 	cleanPath := filepath.Join(dir, "clean.jsonl")
-	cl, err := feedback.OpenLog(cleanPath, false)
+	cl, err := feedback.OpenLogOptions(cleanPath, feedback.LogOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +233,7 @@ func TestRedetectChangepointAndGrouping(t *testing.T) {
 	// shift, pre-shift rows are trimmed, and phases drifting together
 	// merge into one pooled group.
 	shiftPath := filepath.Join(dir, "shift.jsonl")
-	sl, err := feedback.OpenLog(shiftPath, false)
+	sl, err := feedback.OpenLogOptions(shiftPath, feedback.LogOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +336,7 @@ func TestRetrainInsufficientData(t *testing.T) {
 	}
 	tr := loadModel(t)
 	path := filepath.Join(t.TempDir(), "telemetry.jsonl")
-	l, err := feedback.OpenLog(path, false)
+	l, err := feedback.OpenLogOptions(path, feedback.LogOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

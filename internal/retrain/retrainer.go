@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 
-	"opprox/internal/feedback"
 	"opprox/internal/obs"
 )
 
@@ -38,9 +37,6 @@ type Config struct {
 	Pub    Publisher
 	// Opts tunes every run; zero value uses the defaults.
 	Opts Options
-	// Backfill, when set, supplies a lock-free dispatch-record snapshot
-	// for log entries written before the log carried dispatch context.
-	Backfill func(model string) map[string]*feedback.DispatchRecord
 }
 
 // Retrainer runs the extract → redetect → retrain → shadow pipeline for
@@ -113,15 +109,7 @@ func (r *Retrainer) runLocked(model string) (*Result, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownModel, model)
 	}
-	var backfill map[string]*feedback.DispatchRecord
-	if r.cfg.Backfill != nil {
-		backfill = r.cfg.Backfill(model)
-	}
-	m, err := Extract(r.cfg.LogPath, ExtractOptions{
-		Model:    model,
-		MaxRows:  r.cfg.Opts.MaxRows,
-		Backfill: backfill,
-	})
+	m, err := Extract(r.cfg.LogPath, ExtractOptions{Model: model})
 	if err != nil {
 		return nil, err
 	}

@@ -19,7 +19,7 @@ package serve
 //       step 0  rung "full"/"cached": compute fresh plans (cache hits
 //               served as always)
 //       step 1  rung "coarse": serve cache hits; compute misses with
-//               the budget quantized down onto the CoarseQuantum grid,
+//               the budget quantized down onto the coarseQuantum grid,
 //               so distinct budgets collapse onto shared plans
 //       step 2  rung "exact": serve cache hits; answer misses with
 //               the deterministic all-accurate overload schedule
@@ -69,16 +69,16 @@ const (
 )
 
 // DefaultMaxInFlight caps concurrent dispatch computations when
-// Options.MaxInFlight is zero. Generous: the default ladder engages at
+// Options.MaxInFlight is not positive. Generous: the ladder engages at
 // half occupancy, and the cap's job is bounding concurrent work under a
 // burst, not steady-state throughput.
 const DefaultMaxInFlight = 256
 
-// DefaultCoarseQuantum is the budget grid of ladder step 1: budgets
-// are rounded *down* to a multiple of this (never spending more error
+// coarseQuantum is the budget grid of ladder step 1: budgets are
+// rounded *down* to a multiple of this (never spending more error
 // budget than the client allowed), so a continuum of client budgets
 // collapses onto a few shared plan-cache entries.
-const DefaultCoarseQuantum = 5.0
+const coarseQuantum = 5.0
 
 // timeoutPressureWeight scales the recent timeout fraction into the
 // pressure signal: at 2/3 of requests timing out, pressure saturates
@@ -94,11 +94,6 @@ const rejectRetryAfter = time.Second
 // pure function of the request (invariant D13), unlike the
 // model-unavailable degraded path whose reason carries the load error.
 const overloadReason = "overload: all-accurate schedule served at ladder step 2"
-
-// ForceLadderStep pins the degradation ladder to a step (the
-// -force-ladder-step flag and tests); a negative step returns control
-// to the load controller. See qos.Ladder.Force.
-func (s *Server) ForceLadderStep(step int) error { return s.ladder.Force(step) }
 
 // clientKey identifies the client a request should be accounted to.
 func clientKey(req *http.Request) string {
@@ -178,14 +173,12 @@ func (s *Server) noteFailure(req *http.Request) {
 // fraction. In [0, ~1.5]; the default ladder enters step 1 at 0.5.
 func (s *Server) pressure() float64 {
 	p := s.timeouts.Rate() * timeoutPressureWeight
-	if g := s.gate; g != nil {
-		c := float64(g.Cap())
-		if u := float64(g.InFlight()) / c; u > p {
-			p = u
-		}
-		if qw := float64(g.Waiting()) / c; qw > p {
-			p = qw
-		}
+	c := float64(s.gate.Cap())
+	if u := float64(s.gate.InFlight()) / c; u > p {
+		p = u
+	}
+	if qw := float64(s.gate.Waiting()) / c; qw > p {
+		p = qw
 	}
 	return p
 }
@@ -196,14 +189,14 @@ func (s *Server) ladderStep() int {
 	return s.ladder.Update(s.pressure())
 }
 
-// quantizeBudget rounds budget down onto the quantum grid. Down, never
-// up: a coarse plan may be more conservative than asked, never spend
-// more error budget than the client allowed.
-func quantizeBudget(budget, quantum float64) float64 {
-	if quantum <= 0 || budget <= 0 {
+// quantizeBudget rounds budget down onto the coarseQuantum grid. Down,
+// never up: a coarse plan may be more conservative than asked, never
+// spend more error budget than the client allowed.
+func quantizeBudget(budget float64) float64 {
+	if budget <= 0 {
 		return budget
 	}
-	return math.Floor(budget/quantum) * quantum
+	return math.Floor(budget/coarseQuantum) * coarseQuantum
 }
 
 // admissionState is the body of GET/POST /v1/admission: the live
@@ -263,12 +256,10 @@ func (s *Server) handleAdmission(w http.ResponseWriter, req *http.Request) {
 		ForcedStep:  s.ladder.Forced(),
 		Pressure:    s.pressure(),
 		TimeoutRate: s.timeouts.Rate(),
+		InFlight:    s.gate.InFlight(),
+		Waiting:     s.gate.Waiting(),
+		InFlightCap: s.gate.Cap(),
 		RateLimited: s.limiter != nil,
-	}
-	if s.gate != nil {
-		st.InFlight = s.gate.InFlight()
-		st.Waiting = s.gate.Waiting()
-		st.InFlightCap = s.gate.Cap()
 	}
 	if s.limiter != nil {
 		st.Clients = s.limiter.Clients()

@@ -84,8 +84,9 @@ func dispatchWithBudget(budget float64) string {
 // TestGateBoundsAbandonedGoroutines is the abandoned-goroutine-leak
 // regression: a burst of dispatches against a wedged model store, all
 // timing out, must strand at most one parked model load — and zero once
-// the store unwedges. With the gate, the in-flight count also stays
-// within MaxInFlight; without it, the burst still shares one load.
+// the store unwedges. Under a small cap the in-flight count also stays
+// within MaxInFlight; at the default cap, which the burst never fills,
+// it still shares one load.
 func TestGateBoundsAbandonedGoroutines(t *testing.T) {
 	var dreq DispatchRequest
 	if err := json.Unmarshal([]byte(dispatchBody), &dreq); err != nil {
@@ -140,9 +141,8 @@ func TestGateBoundsAbandonedGoroutines(t *testing.T) {
 		store.files["pso.json"] = trainedModelJSON(t)
 		ws := &wedgedStore{Store: store, release: make(chan struct{})}
 		srv := New(Options{
-			Store:       ws,
-			Registry:    RegistryOptions{RetryBase: time.Microsecond},
-			MaxInFlight: -1,
+			Store:    ws,
+			Registry: RegistryOptions{RetryBase: time.Microsecond},
 		})
 		base := runtime.NumGoroutine()
 		burstTimeouts(srv)
@@ -153,14 +153,14 @@ func TestGateBoundsAbandonedGoroutines(t *testing.T) {
 			t.Fatalf("%d loads parked in the store, want at most 1", p)
 		}
 		if g := runtime.NumGoroutine(); g > base+1+slack {
-			t.Fatalf("%d goroutines after timed-out burst (baseline %d, no gate): timed-out requests left work behind", g, base)
+			t.Fatalf("%d goroutines after timed-out burst (baseline %d, gate never full): timed-out requests left work behind", g, base)
 		}
 
 		close(ws.release)
 		waitForGoroutines(t, base+2)
 		// 48 timeouts pushed the ladder to its reject step; pin step 0 so
 		// the next dispatch takes the compute path.
-		if err := srv.ForceLadderStep(0); err != nil {
+		if err := srv.ladder.Force(0); err != nil {
 			t.Fatal(err)
 		}
 		ts := httptest.NewServer(srv.Handler())
@@ -312,9 +312,7 @@ func TestLadderRungByteDeterminism(t *testing.T) {
 	}
 	store := newFakeStore()
 	store.files["pso.json"] = trainedModelJSON(t)
-	_, ts := newAdmissionTestServer(t, store, func(o *Options) {
-		o.Ladder = qos.LadderOptions{Dwell: 1}
-	})
+	_, ts := newAdmissionTestServer(t, store)
 
 	// Step 0 baseline: budget 10 sits on the default coarse grid
 	// (quantum 5), so it is exactly what budget 12 degrades to.
@@ -387,14 +385,14 @@ func TestLadderRungByteDeterminism(t *testing.T) {
 	}
 
 	// Recovery: control returns to the load controller and the idle
-	// server steps down one rung per dispatch (Dwell 1). The overload
+	// server steps down one rung per qos.LadderDwell dispatches. The overload
 	// body served for budget 40 must NOT have been cached — its healthy
 	// recomputation is a real plan, and the coarse budget-15 plan is
 	// byte-identical to a plain budget-15 dispatch (D13 transparency).
 	forceStep(t, ts.URL, -1)
 	var last []byte
 	var lastHdr http.Header
-	for i := 0; i < 2*qos.LadderSteps; i++ {
+	for i := 0; i < qos.LadderDwell*qos.LadderSteps; i++ {
 		status, lastHdr, last = postAs(t, ts.URL+"/v1/dispatch", "", dispatchWithBudget(40))
 		if status == http.StatusOK && lastHdr.Get(rungHeader) == rungFull {
 			break
@@ -467,9 +465,7 @@ func TestLadderStateSurvivesPromoteRollback(t *testing.T) {
 	}
 	store := newFakeStore()
 	store.files["pso.json"] = trainedModelJSON(t)
-	opts := pilotOptions(store)
-	opts.Ladder = qos.LadderOptions{Dwell: 1}
-	srv := New(opts)
+	srv := New(pilotOptions(store))
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 

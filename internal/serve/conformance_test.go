@@ -218,7 +218,7 @@ func TestShardedPromoteRollbackCoherence(t *testing.T) {
 		o.Drift = po.Drift
 		o.Lifecycle = po.Lifecycle
 		o.Lifecycle.DisableAutoPromote = true
-		flog, err := feedback.OpenLog(filepath.Join(t.TempDir(), "telemetry.jsonl"), false)
+		flog, err := feedback.OpenLogOptions(filepath.Join(t.TempDir(), "telemetry.jsonl"), feedback.LogOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

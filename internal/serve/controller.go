@@ -19,7 +19,7 @@ package serve
 // the corrected response body is exactly the full body of the corrected
 // request — the same idiom as the coarse degradation rung (D13). The
 // grid also bounds plan-cache fragmentation: one client budget maps to
-// at most CorrectionMax/CorrectionQuantum distinct corrected budgets.
+// at most correctionMax/correctionQuantum distinct corrected budgets.
 
 import (
 	"math"
@@ -33,30 +33,21 @@ const (
 	correctionHeader      = "X-Opprox-Correction"
 	correctedBudgetHeader = "X-Opprox-Corrected-Budget"
 
-	// DefaultCorrectionQuantum is the correction grid (log1p scale).
-	DefaultCorrectionQuantum = 0.05
-	// DefaultCorrectionMax clamps the correction: proactive control
-	// absorbs modest drift; larger shifts are the retrainer's job.
-	DefaultCorrectionMax = 0.5
+	// correctionQuantum is the correction grid (log1p scale).
+	correctionQuantum = 0.05
+	// correctionMax clamps the correction: proactive control absorbs
+	// modest drift; larger shifts are the retrainer's job.
+	correctionMax = 0.5
 )
 
 // controller holds the per-model budget corrections.
 type controller struct {
-	quantum float64
-	max     float64
-
 	mu   sync.Mutex
 	corr map[string]float64
 }
 
-func newController(quantum, max float64) *controller {
-	if quantum <= 0 {
-		quantum = DefaultCorrectionQuantum
-	}
-	if max <= 0 {
-		max = DefaultCorrectionMax
-	}
-	return &controller{quantum: quantum, max: max, corr: make(map[string]float64)}
+func newController() *controller {
+	return &controller{corr: make(map[string]float64)}
 }
 
 // update recomputes a model's correction from the detector's current
@@ -73,9 +64,9 @@ func (c *controller) update(model string, degMedians []float64) float64 {
 	}
 	corr := 0.0
 	if worst > 0 {
-		corr = math.Ceil(worst/c.quantum) * c.quantum
-		if corr > c.max {
-			corr = c.max
+		corr = math.Ceil(worst/correctionQuantum) * correctionQuantum
+		if corr > correctionMax {
+			corr = correctionMax
 		}
 	}
 	c.mu.Lock()

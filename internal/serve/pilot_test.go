@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -144,7 +143,7 @@ func TestServeClosedLoopEndToEnd(t *testing.T) {
 	store := newFakeStore()
 	store.files["pso.json"] = trainedModelJSON(t)
 	logPath := filepath.Join(t.TempDir(), "telemetry.jsonl")
-	flog, err := feedback.OpenLog(logPath, false)
+	flog, err := feedback.OpenLogOptions(logPath, feedback.LogOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,12 +317,7 @@ func TestServeClosedLoopEndToEnd(t *testing.T) {
 	if err := flog.Close(); err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.Open(logPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	entries, err := feedback.ReadLog(f)
-	f.Close()
+	entries, err := feedback.ReadLogFile(logPath)
 	if err != nil {
 		t.Fatal(err)
 	}

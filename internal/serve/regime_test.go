@@ -41,7 +41,7 @@ func TestMultiRegimeReplayPromotionsBounded(t *testing.T) {
 func replayRegimes(t *testing.T, staleAfter int) {
 	store := newFakeStore()
 	store.files["pso.json"] = trainedModelJSON(t)
-	flog, err := feedback.OpenLog(filepath.Join(t.TempDir(), "telemetry.jsonl"), false)
+	flog, err := feedback.OpenLogOptions(filepath.Join(t.TempDir(), "telemetry.jsonl"), feedback.LogOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,23 +36,32 @@ type Registry struct {
 	sleep func(ctx context.Context, d time.Duration) error
 }
 
-// RegistryOptions configures a Registry.
+// The store-read policy of a zero RegistryOptions: two retries after
+// the first attempt, backing off 25ms then 50ms.
+const (
+	defaultRetries   = 2
+	defaultRetryBase = 25 * time.Millisecond
+)
+
+// RegistryOptions configures a Registry. The zero value is the serving
+// policy (defaultRetries, defaultRetryBase); tests set the fields to
+// pin an exact attempt count or an instant backoff.
 type RegistryOptions struct {
 	// Retries is the number of additional attempts after the first for
-	// transient store errors. Zero means no retry.
+	// transient store errors (zero or negative: defaultRetries).
 	Retries int
 	// RetryBase is the first backoff delay; attempt k waits
-	// RetryBase << (k-1). Defaults to 25ms.
+	// RetryBase << (k-1) (zero or negative: defaultRetryBase).
 	RetryBase time.Duration
 }
 
 // NewRegistry builds a registry over a model store.
 func NewRegistry(store Store, opts RegistryOptions) *Registry {
 	if opts.RetryBase <= 0 {
-		opts.RetryBase = 25 * time.Millisecond
+		opts.RetryBase = defaultRetryBase
 	}
-	if opts.Retries < 0 {
-		opts.Retries = 0
+	if opts.Retries <= 0 {
+		opts.Retries = defaultRetries
 	}
 	return &Registry{
 		store:     store,

@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -145,6 +147,38 @@ func TestRegistryRetriesTransientErrors(t *testing.T) {
 	}
 	if string(raw) != "model bytes" {
 		t.Fatalf("ReadAll = %q", raw)
+	}
+	if n := store.opens.Load(); n != 3 {
+		t.Fatalf("store opened %d times, want 3 (2 failures + success)", n)
+	}
+}
+
+// TestZeroOptionsRetryTransientStoreReads: a server built from zero
+// Options reads the store under the same policy as opprox-serve, so two
+// transient Open failures cost two backoffs, not a degraded dispatch.
+func TestZeroOptionsRetryTransientStoreReads(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains a model; skipped with -short")
+	}
+	store := newFakeStore()
+	store.files["pso.json"] = trainedModelJSON(t)
+	store.failures["pso.json"] = []error{
+		errors.New("transient: connection reset"),
+		errors.New("transient: io timeout"),
+	}
+	ts := httptest.NewServer(New(Options{Store: store}).Handler())
+	t.Cleanup(ts.Close)
+
+	status, body := postJSON(t, ts.URL+"/v1/dispatch", dispatchBody)
+	if status != http.StatusOK {
+		t.Fatalf("dispatch: %d %s", status, body)
+	}
+	var resp DispatchResponse
+	if err := json.Unmarshal(body, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Degraded {
+		t.Fatalf("dispatch degraded after transient store errors: %s", body)
 	}
 	if n := store.opens.Load(); n != 3 {
 		t.Fatalf("store opened %d times, want 3 (2 failures + success)", n)

@@ -306,7 +306,7 @@ func TestProactiveControllerCorrection(t *testing.T) {
 
 	// The corrected dispatch: headers report the correction and the
 	// tightened budget. The drift here is enormous, so the correction
-	// sits at the clamp — exactly CorrectionMax.
+	// sits at the clamp — exactly correctionMax.
 	status, hdr, corrected := postHeaders(t, ts.URL+"/v1/dispatch", dispatchBody)
 	if status != http.StatusOK {
 		t.Fatalf("corrected dispatch: %d %s", status, corrected)
@@ -320,8 +320,8 @@ func TestProactiveControllerCorrection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if corr != DefaultCorrectionMax {
-		t.Fatalf("correction %v, want the clamp %v", corr, DefaultCorrectionMax)
+	if corr != correctionMax {
+		t.Fatalf("correction %v, want the clamp %v", corr, correctionMax)
 	}
 	served, err := strconv.ParseFloat(budgetHdr, 64)
 	if err != nil || served <= 0 || served >= 10 {
@@ -377,7 +377,7 @@ func TestProactiveControllerCorrection(t *testing.T) {
 // TestControllerUnit pins the controller's quantization, clamping and
 // budget arithmetic without a server.
 func TestControllerUnit(t *testing.T) {
-	c := newController(0.05, 0.5)
+	c := newController()
 
 	// Over-prediction (negative medians) never loosens the budget.
 	if got := c.update("m", []float64{-0.4, -0.1}); got != 0 {
@@ -415,11 +415,6 @@ func TestControllerUnit(t *testing.T) {
 	b := correctedBudget(10, 0.1)
 	if b <= 0 || b >= 10 {
 		t.Fatalf("corrected budget %v out of (0, 10)", b)
-	}
-	// Zero-valued knobs fall back to the defaults.
-	cd := newController(0, 0)
-	if cd.quantum != DefaultCorrectionQuantum || cd.max != DefaultCorrectionMax {
-		t.Fatalf("default knobs: %+v", cd)
 	}
 }
 

@@ -71,11 +71,8 @@ type Options struct {
 	// auto-promotion).
 	Lifecycle lifecycle.Options
 	// FeedbackLog, when non-nil, receives every accepted feedback
-	// observation as an append-only JSONL entry (see feedback.OpenLog).
+	// observation as an append-only JSONL entry (see feedback.OpenLogOptions).
 	FeedbackLog *feedback.Log
-	// RecordCap bounds the in-memory dispatch-record store feedback
-	// reports are matched against (default feedback.DefaultRecordCap).
-	RecordCap int
 	// PlanCacheCap bounds the dispatch-plan cache (0: DefaultPlanCacheCap;
 	// negative: disable caching — every dispatch recomputes).
 	PlanCacheCap int
@@ -85,37 +82,20 @@ type Options struct {
 	// gate and degradation ladder run regardless.
 	Admission *admission.Options
 	// MaxInFlight caps concurrent dispatch computations (and is the
-	// ladder's load gauge). 0: DefaultMaxInFlight; negative: uncapped
-	// (no gate).
+	// ladder's load gauge). Zero or negative: DefaultMaxInFlight.
 	MaxInFlight int
-	// Ladder tunes the degradation ladder's thresholds and dwell (zero
-	// value: qos defaults). Invalid thresholds panic in New — they are
-	// a programming error, not runtime input.
-	Ladder qos.LadderOptions
-	// CoarseQuantum is the budget grid of ladder step 1 (0:
-	// DefaultCoarseQuantum; negative: no quantization — step 1 computes
-	// misses at their exact budget).
-	CoarseQuantum float64
 	// Retrain enables the online retraining pipeline: POST /v1/retrain
 	// runs it synchronously, and a model flipping to stale triggers a
 	// background run. Requires FeedbackLog (the pipeline replays it).
 	Retrain bool
-	// RetrainOpts tunes retrain runs (min samples, redetect threshold,
-	// holdout fraction, seed); zero value uses retrain defaults.
+	// RetrainOpts tunes retrain runs (min samples); zero value uses
+	// retrain defaults.
 	RetrainOpts retrain.Options
 	// Proactive enables the Capri-style proactive controller: between
 	// retrains the confidence-banded model runs open-loop, and observed
 	// degradation residuals feed back as a budget correction on
 	// subsequent dispatches (see controller.go, DESIGN.md §16).
 	Proactive bool
-	// CorrectionQuantum is the grid the budget correction is quantized
-	// onto (0: DefaultCorrectionQuantum) — quantization bounds how many
-	// distinct corrected budgets one client budget can map to, which is
-	// what keeps the plan cache effective under correction.
-	CorrectionQuantum float64
-	// CorrectionMax clamps the correction on the log1p-degradation scale
-	// (0: DefaultCorrectionMax).
-	CorrectionMax float64
 }
 
 // Server answers dispatch requests against a model registry. Create with
@@ -137,14 +117,13 @@ type Server struct {
 	plans *planCache
 
 	// Admission control: the rate limiter (nil when disabled), the
-	// in-flight computation gate (nil when uncapped), the degradation
-	// ladder, and the recent-timeout window feeding its pressure
-	// signal. See admission.go and DESIGN.md §15.
-	limiter       *admission.Limiter
-	gate          *admission.Gate
-	ladder        *qos.Ladder
-	timeouts      *qos.RateWindow
-	coarseQuantum float64
+	// in-flight computation gate, the degradation ladder, and the
+	// recent-timeout window feeding its pressure signal. See
+	// admission.go and DESIGN.md §15.
+	limiter  *admission.Limiter
+	gate     *admission.Gate
+	ladder   *qos.Ladder
+	timeouts *qos.RateWindow
 
 	// cluster is non-nil when this server is one replica of a sharded
 	// fleet (ConfigureCluster); nil serves standalone.
@@ -164,29 +143,18 @@ func New(opts Options) *Server {
 	if p, ok := opts.Store.(lifecycle.Publisher); ok {
 		pub = p
 	}
-	ladder, err := qos.NewLadder(opts.Ladder)
-	if err != nil {
-		panic(err) // misconfigured thresholds are a programming error
+	if opts.MaxInFlight <= 0 {
+		opts.MaxInFlight = DefaultMaxInFlight
 	}
 	s := &Server{
-		timeout:       opts.Timeout,
-		records:       feedback.NewRecords(opts.RecordCap),
-		detector:      feedback.NewDetector(opts.Drift),
-		flog:          opts.FeedbackLog,
-		plans:         newPlanCache(opts.PlanCacheCap),
-		ladder:        ladder,
-		timeouts:      qos.NewRateWindow(0, 0),
-		coarseQuantum: opts.CoarseQuantum,
-	}
-	if s.coarseQuantum == 0 {
-		s.coarseQuantum = DefaultCoarseQuantum
-	}
-	if opts.MaxInFlight >= 0 {
-		n := opts.MaxInFlight
-		if n == 0 {
-			n = DefaultMaxInFlight
-		}
-		s.gate = admission.NewGate(n)
+		timeout:  opts.Timeout,
+		records:  feedback.NewRecords(feedback.DefaultRecordCap),
+		detector: feedback.NewDetector(opts.Drift),
+		flog:     opts.FeedbackLog,
+		plans:    newPlanCache(opts.PlanCacheCap),
+		gate:     admission.NewGate(opts.MaxInFlight),
+		ladder:   qos.NewLadder(),
+		timeouts: qos.NewRateWindow(0, 0),
 	}
 	if opts.Admission != nil {
 		s.limiter = admission.NewLimiter(*opts.Admission)
@@ -203,7 +171,7 @@ func New(opts Options) *Server {
 	}
 	s.mgr = lifecycle.NewManager(reg, pub, lcOpts)
 	if opts.Proactive {
-		s.ctrl = newController(opts.CorrectionQuantum, opts.CorrectionMax)
+		s.ctrl = newController()
 	}
 	if opts.Retrain && opts.FeedbackLog != nil {
 		rt, err := retrain.NewRetrainer(retrain.Config{
@@ -211,18 +179,6 @@ func New(opts Options) *Server {
 			Source:  s.mgr,
 			Pub:     s.mgr,
 			Opts:    opts.RetrainOpts,
-			// The extractor backfills dispatch context for log entries
-			// written by older builds from the in-memory record store —
-			// via a copy-on-read snapshot, never under the store's lock.
-			Backfill: func(model string) map[string]*feedback.DispatchRecord {
-				byID := make(map[string]*feedback.DispatchRecord)
-				for _, rec := range s.records.Snapshot() {
-					if rec.Model == model {
-						byID[rec.ID] = rec
-					}
-				}
-				return byID
-			},
 		})
 		if err != nil {
 			panic(err) // both halves are wired above; failure is a programming error
@@ -458,7 +414,7 @@ func (s *Server) dispatch(ctx context.Context, dreq *DispatchRequest) (body []by
 	// the quantized request — deterministic (D13) and shared across
 	// every budget in the same quantum, which is what sheds load.
 	coarse := *dreq
-	coarse.Budget = quantizeBudget(dreq.Budget, s.coarseQuantum)
+	coarse.Budget = quantizeBudget(dreq.Budget)
 	if coarse.Budget != dreq.Budget {
 		if body := s.cachedBody(&coarse); body != nil {
 			obs.Inc("serve.ladder.rung.coarse")
@@ -508,15 +464,13 @@ func (s *Server) cachedBody(dreq *DispatchRequest) []byte {
 // and completed requests feed the timeout window the ladder reads as
 // pressure.
 func (s *Server) computeDispatch(ctx context.Context, dreq *DispatchRequest) ([]byte, bool, error) {
-	if s.gate != nil {
-		if err := s.gate.Acquire(ctx); err != nil {
-			obs.Inc("serve.dispatch.queue_timeout")
-			obs.Inc("serve.dispatch.timeout")
-			s.timeouts.Observe(true)
-			return nil, false, err
-		}
-		defer s.gate.Release()
+	if err := s.gate.Acquire(ctx); err != nil {
+		obs.Inc("serve.dispatch.queue_timeout")
+		obs.Inc("serve.dispatch.timeout")
+		s.timeouts.Observe(true)
+		return nil, false, err
 	}
+	defer s.gate.Release()
 	body, degraded, err := s.dispatchBody(ctx, dreq)
 	if ctx.Err() != nil {
 		obs.Inc("serve.dispatch.timeout")

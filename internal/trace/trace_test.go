@@ -3,6 +3,7 @@ package trace
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -122,5 +123,70 @@ func TestTotalMatchesPerIterSum(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// record builds a recorder with a known mixed history.
+func record() *Recorder {
+	var r Recorder
+	r.BeginIteration()
+	r.Call("forces", 120)
+	r.Call("positions", 40)
+	r.Overhead(3)
+	r.BeginIteration()
+	r.Call("forces", 110)
+	r.Call("strain", 9)
+	return &r
+}
+
+// recorderView is everything a Recorder's accessors report, for
+// comparing two recorders.
+type recorderView struct {
+	TotalWork  uint64
+	Iterations int
+	PerIter    []uint64
+	Context    string
+	BlockWork  map[string]uint64
+}
+
+func view(r *Recorder) recorderView {
+	v := recorderView{
+		TotalWork:  r.TotalWork(),
+		Iterations: r.Iterations(),
+		PerIter:    r.IterationWork(),
+		Context:    r.ContextSignature(),
+		BlockWork:  map[string]uint64{},
+	}
+	for _, b := range []string{"forces", "positions", "strain", "late"} {
+		v.BlockWork[b] = r.BlockWork(b)
+	}
+	return v
+}
+
+// TestCloneIsolated verifies a clone reports what its original did and
+// that recording into one never reaches the other — a checkpointed run
+// and every run resumed from it share nothing.
+func TestCloneIsolated(t *testing.T) {
+	r := record()
+	c := r.Clone()
+	if !reflect.DeepEqual(view(&c), view(r)) {
+		t.Fatalf("clone differs:\n got %+v\nwant %+v", view(&c), view(r))
+	}
+	want := view(r)
+	c.Call("strain", 5)
+	c.BeginIteration()
+	c.Call("late", 7)
+	if !reflect.DeepEqual(view(r), want) {
+		t.Errorf("original mutated by recording into its clone: %+v", view(r))
+	}
+	if c.TotalWork() != r.TotalWork()+12 || c.Iterations() != 3 || c.BlockWork("strain") != 14 {
+		t.Errorf("clone accounting wrong: %s", &c)
+	}
+	var zero Recorder
+	z := zero.Clone()
+	z.BeginIteration()
+	z.Call("a", 1)
+	if zero.Iterations() != 0 || zero.TotalWork() != 0 || z.ContextSignature() != "a" {
+		t.Errorf("zero clone not independent: zero %s clone %s", &zero, &z)
 	}
 }

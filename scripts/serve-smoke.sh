@@ -26,6 +26,15 @@ trap cleanup EXIT INT TERM
 go build -o "$tmp/opprox" ./cmd/opprox
 go build -o "$tmp/opprox-serve" ./cmd/opprox-serve
 
+# The flag set is pinned: adding or removing a flag is an edit here.
+want_flags='addr auto-promote client-burst client-rate failure-limit feedback-log feedback-log-max-bytes global-rate lockout metrics models proactive retrain shard-replicas shard-self timeout'
+flags=$("$tmp/opprox-serve" -h 2>&1 | sed -n 's/^  -\([^ ]*\).*/\1/p' | LC_ALL=C sort | tr '\n' ' ')
+[ "${flags% }" = "$want_flags" ] || {
+    echo "serve-smoke: opprox-serve flags changed:" >&2
+    echo "  got:  ${flags% }" >&2
+    echo "  want: $want_flags" >&2
+    exit 1; }
+
 mkdir "$tmp/models"
 "$tmp/opprox" -app pso -phases 2 -budget 10 -save "$tmp/models/pso.json" >/dev/null
 
