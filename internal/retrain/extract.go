@@ -73,9 +73,9 @@ type ExtractOptions struct {
 // Extract replays a possibly-rotated telemetry log into a training
 // matrix: streaming (one line in memory at a time), bounded (at most
 // 2*MaxRows rows held during the replay), and deterministic (the row
-// set is a pure function of the log bytes, and the
-// row order is keyed by dispatch ID). Entries for other models are
-// ignored without counting.
+// set is a pure function of the log bytes, and the row order is keyed
+// by dispatch ID). Entries for other models are ignored without
+// counting.
 func Extract(path string, opts ExtractOptions) (*Matrix, error) {
 	if opts.Model == "" {
 		return nil, errors.New("retrain: ExtractOptions.Model is required")
