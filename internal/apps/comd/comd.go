@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"opprox/internal/approx"
 	"opprox/internal/apps"
@@ -181,39 +182,86 @@ func (a *App) Start(p apps.Params) (apps.State, error) {
 	return s, nil
 }
 
+// pairTerm is what an in-range pair i<j adds to atom i: the force
+// fmag·(dx, dy, dz) and half the pair's potential energy. Atom j gets
+// the negated force and the same energy share.
+type pairTerm struct{ fx, fy, fz, e float64 }
+
+// forceScratch is computeForces' working memory: an n×n pair table whose
+// row i holds the terms of pairs (i, j>i), and the active flags. It
+// lives in forcePool, never in a state, so clones and checkpoints do not
+// carry it and concurrent runs each get their own.
+type forceScratch struct {
+	terms  []pairTerm
+	active []bool
+}
+
+var forcePool = sync.Pool{New: func() any { return new(forceScratch) }}
+
 // computeForces evaluates the Lennard-Jones force and potential-energy
 // share of every active atom into force and pe; inactive (perforated)
 // atoms keep their previous entries.
+//
+// Each unordered pair with an active atom is evaluated once, and every
+// active atom i sums its pair terms over j in ascending order, exactly
+// as a direct double loop over j would. For j < i it subtracts the term
+// stored for (j, i): the separation is odd-symmetric under minImage, so
+// r² and fmag are the same, fmag·(-dx) is -(fmag·dx), and a + (-c) is
+// a - c. An out-of-range pair stores a zero term; adding a zero leaves
+// the sum unchanged because a sum that starts at +0 never reaches -0.
 func (s *state) computeForces(force []vec3, pe []float64, active func(i int) bool) int {
-	n, pos, box := s.n, s.pos, s.box
+	n, pos, box, half, cutoff2 := s.n, s.pos, s.box, s.box/2, s.cutoff2
+	sc := forcePool.Get().(*forceScratch)
+	defer forcePool.Put(sc)
+	if cap(sc.terms) < n*n {
+		sc.terms = make([]pairTerm, n*n)
+		sc.active = make([]bool, n)
+	}
+	terms, act := sc.terms[:n*n], sc.active[:n]
 	evaluated := 0
-	for i := 0; i < n; i++ {
-		if !active(i) {
-			continue // perforated: keep previous force and PE share
+	for i := range act {
+		act[i] = active(i)
+		if act[i] {
+			evaluated++
 		}
+	}
+	for i := 0; i < n; i++ {
 		var f vec3
 		e := 0.0
-		for j := 0; j < n; j++ {
-			if j == i {
-				continue
+		if act[i] {
+			for j := 0; j < i; j++ {
+				t := &terms[j*n+i]
+				f = vec3{f.x - t.fx, f.y - t.fy, f.z - t.fz}
+				e += t.e
 			}
-			dx := minImage(pos[i].x-pos[j].x, box)
-			dy := minImage(pos[i].y-pos[j].y, box)
-			dz := minImage(pos[i].z-pos[j].z, box)
-			r2 := dx*dx + dy*dy + dz*dz
-			if r2 > s.cutoff2 || r2 < 1e-12 {
-				continue
-			}
-			inv2 := ljSigma * ljSigma / r2
-			inv6 := inv2 * inv2 * inv2
-			// LJ: U = 4ε(r⁻¹² - r⁻⁶); F = 24ε(2r⁻¹² - r⁻⁶)/r².
-			fmag := 24 * ljEpsilon * (2*inv6*inv6 - inv6) / r2
-			f = f.add(vec3{fmag * dx, fmag * dy, fmag * dz})
-			e += 2 * ljEpsilon * (inv6*inv6 - inv6) // half of 4ε(...): pair shared
 		}
-		force[i] = f
-		pe[i] = e
-		evaluated++
+		row := terms[i*n : (i+1)*n]
+		for j := i + 1; j < n; j++ {
+			if !act[i] && !act[j] {
+				continue
+			}
+			dx := minImage(pos[i].x-pos[j].x, box, half)
+			dy := minImage(pos[i].y-pos[j].y, box, half)
+			dz := minImage(pos[i].z-pos[j].z, box, half)
+			r2 := dx*dx + dy*dy + dz*dz
+			var t pairTerm
+			if !(r2 > cutoff2 || r2 < 1e-12) {
+				inv2 := ljSigma * ljSigma / r2
+				inv6 := inv2 * inv2 * inv2
+				// LJ: U = 4ε(r⁻¹² - r⁻⁶); F = 24ε(2r⁻¹² - r⁻⁶)/r².
+				fmag := 24 * ljEpsilon * (2*inv6*inv6 - inv6) / r2
+				t = pairTerm{fmag * dx, fmag * dy, fmag * dz, 2 * ljEpsilon * (inv6*inv6 - inv6)} // half of 4ε(...): pair shared
+			}
+			row[j] = t
+			if act[i] {
+				f = f.add(vec3{t.fx, t.fy, t.fz})
+				e += t.e
+			}
+		}
+		if act[i] {
+			force[i] = f
+			pe[i] = e
+		}
 	}
 	return evaluated
 }
@@ -310,11 +358,12 @@ func (s *state) Result() apps.Result {
 	}
 }
 
-func minImage(d, box float64) float64 {
-	for d > box/2 {
+// minImage folds a separation into [-half, half], half being box/2.
+func minImage(d, box, half float64) float64 {
+	for d > half {
 		d -= box
 	}
-	for d < -box/2 {
+	for d < -half {
 		d += box
 	}
 	return d

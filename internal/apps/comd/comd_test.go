@@ -91,16 +91,93 @@ func TestInvalidParams(t *testing.T) {
 }
 
 func TestMinImage(t *testing.T) {
-	if got := minImage(4.5, 5); math.Abs(got+0.5) > 1e-12 {
+	if got := minImage(4.5, 5, 2.5); math.Abs(got+0.5) > 1e-12 {
 		t.Fatalf("minImage(4.5, 5) = %g, want -0.5", got)
 	}
-	if got := minImage(-4.5, 5); math.Abs(got-0.5) > 1e-12 {
+	if got := minImage(-4.5, 5, 2.5); math.Abs(got-0.5) > 1e-12 {
 		t.Fatalf("minImage(-4.5, 5) = %g, want 0.5", got)
 	}
-	if got := minImage(1, 5); got != 1 {
+	if got := minImage(1, 5, 2.5); got != 1 {
 		t.Fatalf("minImage(1, 5) = %g, want 1", got)
 	}
 }
+
+// directForces is the direct double loop computeForces replaced, kept as
+// its oracle: every active atom evaluates every other atom's pair term
+// itself, in ascending j.
+func directForces(s *state, force []vec3, pe []float64, active func(i int) bool) int {
+	n, pos, box := s.n, s.pos, s.box
+	evaluated := 0
+	for i := 0; i < n; i++ {
+		if !active(i) {
+			continue
+		}
+		var f vec3
+		e := 0.0
+		for j := 0; j < n; j++ {
+			if j == i {
+				continue
+			}
+			dx := minImage(pos[i].x-pos[j].x, box, box/2)
+			dy := minImage(pos[i].y-pos[j].y, box, box/2)
+			dz := minImage(pos[i].z-pos[j].z, box, box/2)
+			r2 := dx*dx + dy*dy + dz*dz
+			if r2 > s.cutoff2 || r2 < 1e-12 {
+				continue
+			}
+			inv2 := ljSigma * ljSigma / r2
+			inv6 := inv2 * inv2 * inv2
+			fmag := 24 * ljEpsilon * (2*inv6*inv6 - inv6) / r2
+			f = f.add(vec3{fmag * dx, fmag * dy, fmag * dz})
+			e += 2 * ljEpsilon * (inv6*inv6 - inv6)
+		}
+		force[i] = f
+		pe[i] = e
+		evaluated++
+	}
+	return evaluated
+}
+
+// TestPairOnceMatchesDirect checks the pair-once force kernel against
+// the direct double loop bit for bit, for n = 32 and n = 108, at force
+// strides 1-6 and every rotation of each stride, on states a few
+// perforated timesteps into a run so the forces are not the lattice's.
+func TestPairOnceMatchesDirect(t *testing.T) {
+	a := New()
+	for _, cells := range []float64{2, 3} {
+		st, err := a.Start(apps.Params{"cells": cells, "lattice": 1.55, "timesteps": 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := st.(*state)
+		for i := 0; i < 5; i++ {
+			s.Step(approx.UniformSchedule(1, approx.Config{3, 2, 1}), 20)
+		}
+		for stride := 1; stride <= 6; stride++ {
+			for off := 0; off < stride; off++ {
+				active := func(i int) bool { return (i+off)%stride == 0 }
+				// Inactive entries must be left alone: start both from
+				// the state's current forces.
+				f1, f2 := append([]vec3(nil), s.force...), append([]vec3(nil), s.force...)
+				e1, e2 := append([]float64(nil), s.peAtom...), append([]float64(nil), s.peAtom...)
+				n1 := s.computeForces(f1, e1, active)
+				n2 := directForces(s, f2, e2, active)
+				if n1 != n2 {
+					t.Fatalf("n=%d stride %d offset %d: evaluated %d, direct %d", s.n, stride, off, n1, n2)
+				}
+				for i := range f1 {
+					if !sameBits(f1[i].x, f2[i].x) || !sameBits(f1[i].y, f2[i].y) ||
+						!sameBits(f1[i].z, f2[i].z) || !sameBits(e1[i], e2[i]) {
+						t.Fatalf("n=%d stride %d offset %d atom %d: force %v pe %v, direct %v pe %v",
+							s.n, stride, off, i, f1[i], e1[i], f2[i], e2[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 func TestWrapStaysInBox(t *testing.T) {
 	v := wrap(vec3{-0.1, 5.2, 2.5}, 5)

@@ -121,9 +121,12 @@ type state struct {
 	src               apps.Source
 	rng               *rand.Rand // draws from src
 
-	pts     [][]float64
-	weights []float64
-	out     []float64 // one pose estimate per finished frame
+	// pts holds the particles as flat rows, particle i in
+	// pts[i*numJoints:(i+1)*numJoints]; spare is the same size and is
+	// where resample writes the next set before the two swap.
+	pts, spare []float64
+	weights    []float64
+	out        []float64 // one pose estimate per finished frame
 
 	f, l, repeats int
 	// layers is the current frame's layer count, fixed at its first
@@ -150,7 +153,6 @@ func (a *App) Start(p apps.Params) (apps.State, error) {
 		layersMax:       a.Blocks()[BlockLayers].MaxLevel,
 		minParticlesMax: a.Blocks()[BlockMinParticles].MaxLevel,
 		seed:            apps.Seed(a.Name(), p),
-		pts:             make([][]float64, particles),
 		weights:         make([]float64, particles),
 		out:             make([]float64, 0, frames*numJoints),
 	}
@@ -158,11 +160,11 @@ func (a *App) Start(p apps.Params) (apps.State, error) {
 	s.rng = rand.New(&s.src)
 
 	// Particle state: each particle is a pose hypothesis.
+	s.pts, s.spare = particleBuffers(particles)
 	init := truePose(0)
-	for i := range s.pts {
-		s.pts[i] = make([]float64, numJoints)
-		for j := range s.pts[i] {
-			s.pts[i][j] = init[j] + s.rng.NormFloat64()*baseNoise
+	for i := range s.weights {
+		for j := 0; j < numJoints; j++ {
+			s.pts[i*numJoints+j] = init[j] + s.rng.NormFloat64()*baseNoise
 		}
 		s.weights[i] = 1 / float64(particles)
 	}
@@ -214,8 +216,9 @@ func (s *state) Step(sched approx.Schedule, baselineIters int) bool {
 	beta := layerBeta * float64(l+1) / float64(layers)
 	weighted := approx.Perforate(particles, levels[BlockLikelihood], func(i int) {
 		d2 := 0.0
+		pt := pts[i*numJoints : (i+1)*numJoints]
 		for j := 0; j < numJoints; j++ {
-			d := pts[i][j] - features[j]
+			d := pt[j] - features[j]
 			d2 += d * d / (0.05 + features[j]*features[j]*0.01)
 		}
 		weights[i] = math.Exp(-beta * d2)
@@ -255,8 +258,9 @@ func (s *state) Step(sched approx.Schedule, baselineIters int) bool {
 	minParticles := approx.TunedValue(float64(particles)/3, 2, levels[BlockMinParticles], s.minParticlesMax)
 
 	// Systematic resampling.
-	pts = resample(pts, weights, s.rng)
-	s.pts = pts
+	resample(s.spare, pts, weights, s.rng)
+	s.pts, s.spare = s.spare, pts
+	pts = s.pts
 	for i := range weights {
 		weights[i] = 1 / float64(particles)
 	}
@@ -266,10 +270,8 @@ func (s *state) Step(sched approx.Schedule, baselineIters int) bool {
 	// shrinks the search radius by a fixed factor, so dropping a
 	// layer directly coarsens the final estimate.
 	shrink := baseNoise * math.Pow(annealRatio, float64(l))
-	for i := range pts {
-		for j := range pts[i] {
-			pts[i][j] += s.rng.NormFloat64() * shrink
-		}
+	for k := range pts {
+		pts[k] += s.rng.NormFloat64() * shrink
 	}
 	// Image loading, projection math and model bookkeeping: exact
 	// work on every (frame, layer) iteration.
@@ -289,9 +291,9 @@ func (s *state) Step(sched approx.Schedule, baselineIters int) bool {
 
 	// Frame estimate: mean pose after the final layer.
 	est := make([]float64, numJoints)
-	for i := range pts {
+	for i := 0; i < particles; i++ {
 		for j := range est {
-			est[j] += pts[i][j]
+			est[j] += pts[i*numJoints+j]
 		}
 	}
 	for j := range est {
@@ -303,14 +305,13 @@ func (s *state) Step(sched approx.Schedule, baselineIters int) bool {
 }
 
 // Clone implements apps.State. The frame's truth pose is never written,
-// so clones share it.
+// so clones share it; the particle rows and their spare are the clone's
+// own.
 func (s *state) Clone() apps.State {
 	c := *s
 	c.rng = rand.New(&c.src)
-	c.pts = make([][]float64, len(s.pts))
-	for i, pt := range s.pts {
-		c.pts[i] = append([]float64(nil), pt...)
-	}
+	c.pts, c.spare = particleBuffers(s.particles)
+	copy(c.pts, s.pts)
 	c.weights = append([]float64(nil), s.weights...)
 	c.out = append(make([]float64, 0, cap(s.out)), s.out...)
 	c.rec = s.rec.Clone()
@@ -328,10 +329,19 @@ func (s *state) Result() apps.Result {
 	}
 }
 
-// resample draws a new particle set with systematic resampling.
-func resample(pts [][]float64, weights []float64, rng *rand.Rand) [][]float64 {
-	n := len(pts)
-	out := make([][]float64, n)
+// particleBuffers allocates the particle rows and their spare in one
+// block.
+func particleBuffers(particles int) (pts, spare []float64) {
+	n := particles * numJoints
+	buf := make([]float64, 2*n)
+	return buf[:n:n], buf[n:]
+}
+
+// resample draws a new particle set from src into dst with systematic
+// resampling. Both hold len(weights) equal rows, one per particle.
+func resample(dst, src, weights []float64, rng *rand.Rand) {
+	n := len(weights)
+	w := len(src) / n
 	u := rng.Float64() / float64(n)
 	cum := 0.0
 	k := 0
@@ -341,9 +351,8 @@ func resample(pts [][]float64, weights []float64, rng *rand.Rand) [][]float64 {
 			cum += weights[k]
 			k++
 		}
-		out[i] = append([]float64(nil), pts[k]...)
+		copy(dst[i*w:(i+1)*w], src[k*w:(k+1)*w])
 	}
-	return out
 }
 
 var _ apps.App = (*App)(nil)

@@ -118,17 +118,18 @@ func TestInvalidParams(t *testing.T) {
 
 func TestResampleDistribution(t *testing.T) {
 	// A particle with all the weight should dominate the resampled set.
-	pts := [][]float64{{1}, {2}, {3}, {4}}
+	pts := []float64{1, 10, 2, 20, 3, 30, 4, 40}
 	weights := []float64{0, 1, 0, 0}
 	rng := newTestRNG()
-	out := resample(pts, weights, rng)
-	for _, p := range out {
-		if p[0] != 2 {
-			t.Fatalf("resample leaked a zero-weight particle: %v", p)
+	out := make([]float64, len(pts))
+	resample(out, pts, weights, rng)
+	for i := 0; i < len(out); i += 2 {
+		if out[i] != 2 || out[i+1] != 20 {
+			t.Fatalf("resample leaked a zero-weight particle: %v", out[i:i+2])
 		}
 	}
-	if &out[0][0] == &pts[1][0] {
-		t.Fatal("resample must copy particle storage")
+	if pts[0] != 1 || pts[7] != 40 {
+		t.Fatalf("resample wrote into its source: %v", pts)
 	}
 }
 

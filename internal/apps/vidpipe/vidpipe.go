@@ -209,11 +209,11 @@ func deflateFilter(src, prevOut frame, level, frameIdx int, rec *trace.Recorder)
 // state is one vidpipe run between frames. Every random draw happens in
 // Start (the background texture), so a clone needs no random stream.
 // No frame is written after the iteration that made it, so clones share
-// the texture, the reference frames and the finished output frames.
+// the raw frames, the reference frames and the finished output frames.
 type state struct {
 	frames      int
 	edgeFirst   bool
-	texture     []float64
+	raw         []frame // every input frame, rendered once in Start
 	qstep       float64
 	deadzone    float64
 	coeffBudget int
@@ -239,12 +239,16 @@ func (a *App) Start(p apps.Params) (apps.State, error) {
 	for i := range texture {
 		texture[i] = rng.Float64() * 18
 	}
+	raw := make([]frame, frames)
+	for t := range raw {
+		raw[t] = synthFrame(t, frames, texture)
+	}
 	// Quantizer: higher bitrate → finer base step → smaller dead zone.
 	qstep := 16.0 / bitrate
 	return &state{
 		frames:    frames,
 		edgeFirst: pv[3] >= 0.5,
-		texture:   texture,
+		raw:       raw,
 		qstep:     qstep,
 		deadzone:  qstep * 0.9,
 		// Rate control: each frame may spend at most coeffBudget nonzero
@@ -272,7 +276,7 @@ func (s *state) Step(sched approx.Schedule, baselineIters int) bool {
 	rec.BeginIteration()
 	levels := sched.LevelsAt(approx.PhaseOf(t, baselineIters, sched.Phases))
 
-	raw := synthFrame(t, s.frames, s.texture)
+	raw := s.raw[t]
 
 	// Filter chain order is input-dependent (paper Fig. 7 / Fig. 8).
 	var filtered frame
