@@ -220,6 +220,9 @@ type goldenEntry struct {
 	// iterations, built at most once. The golden run fills 0 and its
 	// end; Evaluate adds the phase boundaries it resumes from.
 	cks map[int]func() State
+	// seen is what checkpoint_bytes has counted of the checkpoints so
+	// far (retainedBytes), so data they share counts once.
+	seen map[uintptr]bool
 }
 
 // Runner caches golden runs per parameter set and scores approximate runs
@@ -295,6 +298,7 @@ func (r *Runner) runGolden(e *goldenEntry, p Params) error {
 	res := s.Result()
 	e.res = &res
 	e.cks = map[int]func() State{}
+	e.seen = map[uintptr]bool{}
 	r.keep(e, 0, start)
 	r.keep(e, res.OuterIters, s)
 	return nil
@@ -302,8 +306,17 @@ func (r *Runner) runGolden(e *goldenEntry, p Params) error {
 
 // keep stores s as e's checkpoint after k iterations.
 func (r *Runner) keep(e *goldenEntry, k int, s State) {
-	obs.Add(r.checkpointBytes, retainedBytes(s))
+	r.count(e, s)
 	e.cks[k] = func() State { return s }
+}
+
+// count adds what checkpoint s holds beyond e's other checkpoints to
+// checkpoint_bytes.
+func (r *Runner) count(e *goldenEntry, s State) {
+	e.mu.Lock()
+	n := retainedBytes(s, e.seen)
+	e.mu.Unlock()
+	obs.Add(r.checkpointBytes, n)
 }
 
 // checkpoint returns the accurate state after k iterations of e's
@@ -328,7 +341,7 @@ func (r *Runner) checkpoint(e *goldenEntry, k int) State {
 			for i := lo; i < k; i++ {
 				s.Step(acc, 0)
 			}
-			obs.Add(r.checkpointBytes, retainedBytes(s))
+			r.count(e, s)
 			return s
 		})
 		e.cks[k] = get

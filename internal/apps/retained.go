@@ -2,13 +2,13 @@ package apps
 
 import "reflect"
 
-// retainedBytes estimates the memory a checkpoint keeps reachable: the
-// state's own value plus everything its pointers, slices, maps and
-// interfaces lead to, each visited once. Data that checkpoints share
-// (vidpipe's finished frames) is counted in each, so summed over a
-// Runner the figure is an upper bound.
-func retainedBytes(s State) int64 {
-	seen := map[uintptr]bool{}
+// retainedBytes estimates the memory a checkpoint adds: the state's own
+// value plus everything its pointers, slices, maps and interfaces lead
+// to, skipping what seen already holds and adding what it visits. With
+// one seen set for all the checkpoints of a golden entry, data they
+// share (vidpipe's raw frame table and finished frames) is counted
+// once, by the first checkpoint that reaches it.
+func retainedBytes(s State, seen map[uintptr]bool) int64 {
 	return int64(deepBytes(reflect.ValueOf(&s).Elem(), seen))
 }
 
@@ -29,7 +29,9 @@ func deepBytes(v reflect.Value, seen map[uintptr]bool) uintptr {
 		}
 		return e.Type().Size() + deepBytes(e, seen)
 	case reflect.Slice:
-		if v.IsNil() || seen[v.Pointer()] {
+		// A zero-capacity slice holds nothing, but may point at the
+		// array of a longer one, which must not count as seen.
+		if v.Cap() == 0 || seen[v.Pointer()] {
 			return 0
 		}
 		seen[v.Pointer()] = true
