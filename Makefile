@@ -15,7 +15,7 @@ check:
 bench:
 	go run ./cmd/opprox-ab -base HEAD~1 -bench . ./internal/ml/linalg ./internal/ml/poly \
 		./internal/ml/mic ./internal/ml/tree ./internal/core ./internal/feedback ./internal/serve \
-		./internal/shard ./internal/admission ./internal/retrain
+		./internal/shard ./internal/admission ./internal/retrain ./internal/apps
 
 # serve runs the dispatch service against the MODELS directory (default
 # ./models). Train model files into it first, e.g.:

@@ -42,10 +42,15 @@ echo "== serving concurrency tests (-race -count=3) =="
 # Every plan-cache miss plans on its request's own goroutine, so these
 # are the tests a scheduling-dependent bug would flake: byte-identity
 # under concurrent dispatch, the wedged-store bound, the 504 deadline
-# path, and concurrent Optimize on one model against a serial pass.
+# path, concurrent Optimize on one model against a serial pass, and
+# concurrent Evaluate against a serial pass on the apps whose kernels
+# hold data that runs must not write into together (comd's pooled pair
+# table, vidpipe's frame table that clones share, tracker's particle
+# double buffer).
 go test -race -count=3 ./internal/serve \
     -run 'TestServingConformance|TestGateBoundsAbandonedGoroutines|TestServeRequestTimeout'
 go test -race -count=3 ./internal/core -run 'TestOptimizeConcurrentMatchesSerial'
+go test -race -count=3 ./internal/apps -run 'TestKernelsEvaluateConcurrent'
 
 echo "== opprox-serve smoke =="
 # Build the server, start it on an ephemeral port, run one dispatch and
