@@ -1,6 +1,6 @@
 # Convenience wrappers; scripts/check.sh is the tier-1 gate CI runs.
 
-.PHONY: build test check bench vet vet-json scan serve serve-smoke shard-smoke pilot-demo
+.PHONY: build test check bench vet vet-json scan serve serve-smoke shard-smoke
 
 build:
 	go build ./...
@@ -35,12 +35,6 @@ serve-smoke:
 # through a replica that does not own the model.
 shard-smoke:
 	sh scripts/shard-smoke.sh
-
-# pilot-demo replays the closed serving loop end to end: train a small
-# video-pipeline model, serve it, inject a phase shift through
-# /v1/feedback and watch drift -> retrain -> shadow -> promotion.
-pilot-demo:
-	go run ./cmd/opprox-pilot
 
 # vet runs the determinism/concurrency analyzers (internal/analysis) over
 # the module and fails on any unsuppressed finding at or above warning.

@@ -47,8 +47,8 @@
 // are persisted into -models atomically. -proactive adds the Capri-style
 // controller: between retrains, observed degradation residuals tighten
 // the served budget open-loop (see X-Opprox-Correction on corrected
-// responses). The loop's thresholds are tested constants or
-// serve.Options defaults; they are not flags.
+// responses). The loop's thresholds (drift detection, the retrain
+// minimum, shadow comparison windows) are constants, not flags.
 //
 // Serving at scale: repeat dispatches are answered from a bounded
 // dispatch-plan cache (serve.DefaultPlanCacheCap entries),
@@ -66,7 +66,9 @@
 // {"force_step": N} pins the ladder. Optional rate limiting
 // (-client-rate, -client-burst, -global-rate, -failure-limit,
 // -lockout) fronts /v1/dispatch and /v1/feedback with per-client and
-// global token buckets plus an invalid-body lockout.
+// global token buckets plus an invalid-body lockout. A flag that tunes
+// another (-client-burst, -lockout, -feedback-log-max-bytes) fails
+// startup when that flag is unset.
 package main
 
 import (
@@ -129,6 +131,21 @@ func main() {
 	proactive := flag.Bool("proactive", false, "enable the proactive controller: correct served budgets from observed degradation residuals")
 	flag.Parse()
 
+	// A flag that only tunes a companion flag is an error without it,
+	// not a silent no-op.
+	if *retrainOn && *feedbackLog == "" {
+		log.Fatal("-retrain requires -feedback-log (the pipeline replays it)")
+	}
+	if *feedbackLogMaxBytes != 0 && *feedbackLog == "" {
+		log.Fatal("-feedback-log-max-bytes requires -feedback-log")
+	}
+	if *clientBurst != 0 && *clientRate <= 0 {
+		log.Fatal("-client-burst requires -client-rate")
+	}
+	if *lockout != 0 && *failureLimit <= 0 {
+		log.Fatal("-lockout requires -failure-limit")
+	}
+
 	var flog *feedback.Log
 	if *feedbackLog != "" {
 		var err error
@@ -140,9 +157,6 @@ func main() {
 			log.Fatal(err)
 		}
 		defer flog.Close()
-	}
-	if *retrainOn && flog == nil {
-		log.Fatal("-retrain requires -feedback-log (the pipeline replays it)")
 	}
 
 	// Rate limiting is opt-in: the limiter exists only when at least

@@ -43,23 +43,27 @@ type Options struct {
 	// ClientBurst <= 0 defaults to max(1, ClientRate).
 	ClientRate  float64
 	ClientBurst float64
-	// GlobalRate/GlobalBurst shape the aggregate bucket across all
-	// clients. GlobalRate <= 0 disables it.
-	GlobalRate  float64
-	GlobalBurst float64
+	// GlobalRate shapes the aggregate bucket across all clients, whose
+	// burst is max(1, GlobalRate). GlobalRate <= 0 disables it.
+	GlobalRate float64
 	// FailureLimit locks a client out after this many recorded
-	// failures (invalid bodies) inside FailureWindow. <= 0 disables
-	// lockout.
-	FailureLimit  int
-	FailureWindow time.Duration
-	// Lockout is how long a locked-out client stays rejected.
+	// failures (invalid bodies) inside DefaultFailureWindow. <= 0
+	// disables lockout.
+	FailureLimit int
+	// Lockout is how long a locked-out client stays rejected (<= 0:
+	// DefaultLockout).
 	Lockout time.Duration
-	// MaxClients bounds tracked per-client state; the least recently
-	// seen client is evicted when the bound is hit (an evicted
-	// client's bucket and lockout reset). Default DefaultMaxClients.
-	MaxClients int
 	// Now is the clock (tests inject a fake). Default time.Now.
 	Now func() time.Time
+
+	// globalBurst, failureWindow and maxClients override max(1,
+	// GlobalRate), DefaultFailureWindow and DefaultMaxClients (zero:
+	// the default); only this package's tests set them. Per-client
+	// state is bounded by maxClients: the least recently seen client is
+	// evicted when the bound is hit (its bucket and lockout reset).
+	globalBurst   float64
+	failureWindow time.Duration
+	maxClients    int
 }
 
 // Decision is the outcome of one admission check.
@@ -122,28 +126,28 @@ func NewLimiter(opts Options) *Limiter {
 			opts.ClientBurst = 1
 		}
 	}
-	if opts.GlobalRate > 0 && opts.GlobalBurst <= 0 {
-		opts.GlobalBurst = opts.GlobalRate
-		if opts.GlobalBurst < 1 {
-			opts.GlobalBurst = 1
+	if opts.GlobalRate > 0 && opts.globalBurst <= 0 {
+		opts.globalBurst = opts.GlobalRate
+		if opts.globalBurst < 1 {
+			opts.globalBurst = 1
 		}
 	}
 	if opts.FailureLimit > 0 {
-		if opts.FailureWindow <= 0 {
-			opts.FailureWindow = DefaultFailureWindow
+		if opts.failureWindow <= 0 {
+			opts.failureWindow = DefaultFailureWindow
 		}
 		if opts.Lockout <= 0 {
 			opts.Lockout = DefaultLockout
 		}
 	}
-	if opts.MaxClients <= 0 {
-		opts.MaxClients = DefaultMaxClients
+	if opts.maxClients <= 0 {
+		opts.maxClients = DefaultMaxClients
 	}
 	if opts.Now == nil {
 		opts.Now = time.Now
 	}
 	l := &Limiter{opts: opts, clients: make(map[string]*client)}
-	l.globalTokens = opts.GlobalBurst
+	l.globalTokens = opts.globalBurst
 	return l
 }
 
@@ -166,7 +170,7 @@ func (l *Limiter) Allow(key string) Decision {
 		}
 	}
 	if l.opts.GlobalRate > 0 {
-		refill(&l.globalTokens, &l.globalLast, now, l.opts.GlobalRate, l.opts.GlobalBurst)
+		refill(&l.globalTokens, &l.globalLast, now, l.opts.GlobalRate, l.opts.globalBurst)
 		if l.globalTokens < 1 {
 			return Decision{RetryAfter: tokenWait(l.globalTokens, l.opts.GlobalRate), Reason: ReasonGlobalRate}
 		}
@@ -183,9 +187,9 @@ func (l *Limiter) Allow(key string) Decision {
 }
 
 // NoteFailure records one invalid request from key (malformed or
-// unvalidatable body). FailureLimit failures inside FailureWindow lock
-// the client out for Lockout; the window slides by resetting when more
-// than FailureWindow has passed since its first failure.
+// unvalidatable body). FailureLimit failures inside the failure window
+// lock the client out for Lockout; the window slides by resetting when
+// more than the window has passed since its first failure.
 func (l *Limiter) NoteFailure(key string) {
 	if l.opts.FailureLimit <= 0 {
 		return
@@ -194,7 +198,7 @@ func (l *Limiter) NoteFailure(key string) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	c := l.touch(key, now)
-	if c.failures == 0 || now.Sub(c.windowStart) > l.opts.FailureWindow {
+	if c.failures == 0 || now.Sub(c.windowStart) > l.opts.failureWindow {
 		c.failures = 0
 		c.windowStart = now
 	}
@@ -221,7 +225,7 @@ func (l *Limiter) LockedOut(key string) (bool, time.Duration) {
 }
 
 // Clients reports the number of tracked clients (bounded by
-// MaxClients).
+// DefaultMaxClients).
 func (l *Limiter) Clients() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -230,14 +234,14 @@ func (l *Limiter) Clients() int {
 
 // touch returns key's state, creating it (with a full bucket) on first
 // sight, moving it to the LRU head, and evicting the tail past
-// MaxClients. Caller holds l.mu.
+// maxClients. Caller holds l.mu.
 func (l *Limiter) touch(key string, now time.Time) *client {
 	c, ok := l.clients[key]
 	if !ok {
 		c = &client{key: key, tokens: l.opts.ClientBurst, last: now}
 		l.clients[key] = c
 		l.pushFront(c)
-		if len(l.clients) > l.opts.MaxClients {
+		if len(l.clients) > l.opts.maxClients {
 			ev := l.tail
 			l.unlink(ev)
 			delete(l.clients, ev.key)

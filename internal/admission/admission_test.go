@@ -79,7 +79,7 @@ func TestLimiterClientBucket(t *testing.T) {
 
 func TestLimiterGlobalBucket(t *testing.T) {
 	clk := newFakeClock()
-	l := NewLimiter(Options{GlobalRate: 1, GlobalBurst: 3, Now: clk.Now})
+	l := NewLimiter(Options{GlobalRate: 1, globalBurst: 3, Now: clk.Now})
 
 	// Distinct clients all drain the one global bucket.
 	for i := 0; i < 3; i++ {
@@ -101,7 +101,7 @@ func TestLimiterGlobalRejectionKeepsClientToken(t *testing.T) {
 	clk := newFakeClock()
 	l := NewLimiter(Options{
 		ClientRate: 1, ClientBurst: 1,
-		GlobalRate: 1, GlobalBurst: 1,
+		GlobalRate: 1, globalBurst: 1,
 		Now: clk.Now,
 	})
 	if d := l.Allow("a"); !d.OK {
@@ -121,7 +121,7 @@ func TestLimiterFailureLockout(t *testing.T) {
 	clk := newFakeClock()
 	l := NewLimiter(Options{
 		FailureLimit:  3,
-		FailureWindow: 10 * time.Second,
+		failureWindow: 10 * time.Second,
 		Lockout:       30 * time.Second,
 		Now:           clk.Now,
 	})
@@ -165,7 +165,7 @@ func TestLimiterFailureWindowSlides(t *testing.T) {
 	clk := newFakeClock()
 	l := NewLimiter(Options{
 		FailureLimit:  3,
-		FailureWindow: 10 * time.Second,
+		failureWindow: 10 * time.Second,
 		Lockout:       30 * time.Second,
 		Now:           clk.Now,
 	})
@@ -188,7 +188,7 @@ func TestLimiterFailureWindowSlides(t *testing.T) {
 
 func TestLimiterClientEviction(t *testing.T) {
 	clk := newFakeClock()
-	l := NewLimiter(Options{ClientRate: 1, ClientBurst: 1, MaxClients: 2, Now: clk.Now})
+	l := NewLimiter(Options{ClientRate: 1, ClientBurst: 1, maxClients: 2, Now: clk.Now})
 	l.Allow("a")
 	l.Allow("b")
 	l.Allow("a") // refresh a: b becomes the eviction candidate
@@ -226,9 +226,9 @@ func TestLimiterZeroOptionsAdmitsEverything(t *testing.T) {
 func TestLimiterConcurrent(t *testing.T) {
 	l := NewLimiter(Options{
 		ClientRate: 1000, ClientBurst: 50,
-		GlobalRate: 5000, GlobalBurst: 200,
-		FailureLimit: 5, FailureWindow: time.Second, Lockout: time.Second,
-		MaxClients: 8,
+		GlobalRate: 5000, globalBurst: 200,
+		FailureLimit: 5, failureWindow: time.Second, Lockout: time.Second,
+		maxClients: 8,
 	})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -247,7 +247,7 @@ func TestLimiterConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 	if n := l.Clients(); n > 8 {
-		t.Fatalf("Clients() = %d, want <= MaxClients 8", n)
+		t.Fatalf("Clients() = %d, want <= maxClients 8", n)
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 func BenchmarkLimiterAllow(b *testing.B) {
 	l := NewLimiter(Options{
 		ClientRate: 1e9, ClientBurst: 1e9,
-		GlobalRate: 1e9, GlobalBurst: 1e9,
+		GlobalRate: 1e9, globalBurst: 1e9,
 		FailureLimit: 5,
 	})
 	l.Allow("bench-client")

@@ -179,9 +179,6 @@ func NewDetector(opts Options) *Detector {
 	return &Detector{opts: opts.withDefaults(), models: map[string]*tracker{}}
 }
 
-// Options returns the resolved (defaulted) thresholds.
-func (d *Detector) Options() Options { return d.opts }
-
 // Observe ingests one feedback report's samples for a model and returns
 // the resulting state plus any transition this report caused. Samples
 // are processed in slice order.

@@ -54,14 +54,20 @@ type Publisher interface {
 	Put(name string, data []byte) error
 }
 
+// Auto-promotion compares the live and shadow versions' mean realized
+// error over rings of defaultErrWindow samples, once both rings hold at
+// least defaultMinShadowSamples.
+const (
+	defaultErrWindow        = 32
+	defaultMinShadowSamples = 8
+)
+
 // Options tunes the lifecycle manager. The zero value is usable.
 type Options struct {
-	// ErrWindow is the size of the realized-error rings the live and
-	// shadow versions are compared over (default 32).
-	ErrWindow int
-	// MinShadowSamples is how many realized-error samples both windows
-	// need before an auto-promotion comparison (default 8).
-	MinShadowSamples int
+	// errWindow and minShadowSamples override the constants above (zero:
+	// the constant); only this package's tests set them.
+	errWindow        int
+	minShadowSamples int
 	// DisableAutoPromote turns automatic promotion off; /v1/promote
 	// still works.
 	DisableAutoPromote bool
@@ -74,11 +80,11 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.ErrWindow <= 0 {
-		o.ErrWindow = 32
+	if o.errWindow <= 0 {
+		o.errWindow = defaultErrWindow
 	}
-	if o.MinShadowSamples <= 0 {
-		o.MinShadowSamples = 8
+	if o.minShadowSamples <= 0 {
+		o.minShadowSamples = defaultMinShadowSamples
 	}
 	return o
 }
@@ -334,13 +340,13 @@ func (m *Manager) Feedback(rec *feedback.DispatchRecord, observations []feedback
 			continue
 		}
 		shadowErr := (abs(realS-shDiag.SpeedupRaw) + abs(realD-shDiag.DegRaw)) / 2
-		sh.liveErr.push(m.opts.ErrWindow, liveErr)
-		sh.shadowErr.push(m.opts.ErrWindow, shadowErr)
+		sh.liveErr.push(m.opts.errWindow, liveErr)
+		sh.shadowErr.push(m.opts.errWindow, shadowErr)
 	}
 	if m.opts.DisableAutoPromote {
 		return false, nil
 	}
-	if sh.liveErr.filled < m.opts.MinShadowSamples || sh.shadowErr.filled < m.opts.MinShadowSamples {
+	if sh.liveErr.filled < m.opts.minShadowSamples || sh.shadowErr.filled < m.opts.minShadowSamples {
 		return false, nil
 	}
 	if sh.shadowErr.mean() >= sh.liveErr.mean() {

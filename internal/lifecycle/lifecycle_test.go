@@ -306,7 +306,7 @@ func driftedRecord(t *testing.T, m *Manager, shiftSpd, shiftDeg float64) (*feedb
 }
 
 func TestFeedbackAutoPromote(t *testing.T) {
-	m, _, _ := newTestManager(t, Options{ErrWindow: 8, MinShadowSamples: 4})
+	m, _, _ := newTestManager(t, Options{errWindow: 8, minShadowSamples: 4})
 	const shift = 0.2
 	rec, obsv := driftedRecord(t, m, shift, shift)
 
@@ -333,7 +333,7 @@ func TestFeedbackAutoPromote(t *testing.T) {
 
 func TestFeedbackRespectsGates(t *testing.T) {
 	// Auto-promotion disabled: windows fill, state is visible, no swap.
-	m, _, _ := newTestManager(t, Options{ErrWindow: 8, MinShadowSamples: 2, DisableAutoPromote: true})
+	m, _, _ := newTestManager(t, Options{errWindow: 8, minShadowSamples: 2, DisableAutoPromote: true})
 	const shift = 0.2
 	rec, obsv := driftedRecord(t, m, shift, shift)
 	shadowOf(t, m, "pso.json", []float64{shift, shift}, []float64{shift, shift})
@@ -352,7 +352,7 @@ func TestFeedbackRespectsGates(t *testing.T) {
 	}
 
 	// A worse shadow never auto-promotes.
-	m2, _, _ := newTestManager(t, Options{ErrWindow: 8, MinShadowSamples: 2})
+	m2, _, _ := newTestManager(t, Options{errWindow: 8, minShadowSamples: 2})
 	rec2, obsv2 := driftedRecord(t, m2, 0, 0) // reality matches live exactly
 	shadowOf(t, m2, "pso.json", []float64{0.3, 0.3}, []float64{0.3, 0.3})
 	for i := 0; i < 6; i++ {
@@ -362,7 +362,7 @@ func TestFeedbackRespectsGates(t *testing.T) {
 	}
 
 	// Feedback for a stale version (dispatch predates a swap) is ignored.
-	m3, _, _ := newTestManager(t, Options{ErrWindow: 8, MinShadowSamples: 1})
+	m3, _, _ := newTestManager(t, Options{errWindow: 8, minShadowSamples: 1})
 	rec3, obsv3 := driftedRecord(t, m3, shift, shift)
 	shadowOf(t, m3, "pso.json", []float64{shift, shift}, []float64{shift, shift})
 	rec3.Version = "stale0stale0"
@@ -442,7 +442,7 @@ func TestSnapshotDeterministic(t *testing.T) {
 		reg := newFakeReg()
 		reg.files["b.json"] = modelJSON(t)
 		reg.files["a.json"] = modelJSON(t)
-		m := NewManager(reg, newFakePub(), Options{ErrWindow: 4, MinShadowSamples: 2})
+		m := NewManager(reg, newFakePub(), Options{errWindow: 4, minShadowSamples: 2})
 		ctx := context.Background()
 		for _, name := range []string{"b.json", "a.json"} {
 			if _, _, err := m.Live(ctx, name); err != nil {
@@ -468,7 +468,7 @@ func TestSnapshotDeterministic(t *testing.T) {
 // TestConcurrentLifecycle exercises resolve/peek/feedback/snapshot under
 // parallel load; the race detector is the assertion.
 func TestConcurrentLifecycle(t *testing.T) {
-	m, _, _ := newTestManager(t, Options{ErrWindow: 8, MinShadowSamples: 1 << 30})
+	m, _, _ := newTestManager(t, Options{errWindow: 8, minShadowSamples: 1 << 30})
 	rec, obsv := driftedRecord(t, m, 0.1, 0.1)
 	shadowOf(t, m, "pso.json", []float64{0.1, 0.1}, []float64{0.1, 0.1})
 	var wg sync.WaitGroup

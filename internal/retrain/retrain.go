@@ -14,7 +14,8 @@ import (
 )
 
 const (
-	// DefaultMinSamples is Options.MinSamples' zero value.
+	// DefaultMinSamples is how many extracted rows a retrain needs; below
+	// it Retrain returns ErrInsufficientData.
 	DefaultMinSamples = 32
 	// redetectThreshold is the phase re-detection divergence threshold
 	// on the models' log scales.
@@ -31,13 +32,6 @@ const (
 	// higher, a refit on a handful of rows just chases noise).
 	minGroupRows = 8
 )
-
-// Options tunes a retrain run.
-type Options struct {
-	// MinSamples is how many extracted rows a retrain needs; below it
-	// Retrain returns ErrInsufficientData (default DefaultMinSamples).
-	MinSamples int
-}
 
 // Retrain errors; the serving layer maps them onto its HTTP taxonomy.
 var (
@@ -100,20 +94,17 @@ type Result struct {
 // selects the one with the lowest realized error on a held-out suffix
 // of the telemetry. liveRaw is the live model's serialized form — every
 // candidate starts from a clone of those exact bytes, so the run is a
-// pure function of (liveRaw, matrix, opts): invariant D14.
+// pure function of (liveRaw, matrix): invariant D14.
 //
 // The holdout is the most RECENT holdoutFrac of the rows (by log
 // sequence): candidates train on the past and are judged on the
 // present, which is the only honest split for drifted telemetry.
-func Retrain(liveRaw []byte, m *Matrix, opts Options) (*Result, error) {
+func Retrain(liveRaw []byte, m *Matrix) (*Result, error) {
 	stop := obs.Timer("retrain.duration")
 	defer stop()
-	if opts.MinSamples <= 0 {
-		opts.MinSamples = DefaultMinSamples
-	}
 	res := &Result{Model: m.Model, LiveVersion: lifecycle.Version(liveRaw), Rows: len(m.Rows), Skipped: m.Skipped}
-	if len(m.Rows) < opts.MinSamples {
-		return nil, fmt.Errorf("%w: %d rows for model %q, need %d", ErrInsufficientData, len(m.Rows), m.Model, opts.MinSamples)
+	if len(m.Rows) < DefaultMinSamples {
+		return nil, fmt.Errorf("%w: %d rows for model %q, need %d", ErrInsufficientData, len(m.Rows), m.Model, DefaultMinSamples)
 	}
 	live, err := core.LoadTrained(bytes.NewReader(liveRaw))
 	if err != nil {
@@ -138,11 +129,7 @@ func Retrain(liveRaw []byte, m *Matrix, opts Options) (*Result, error) {
 	// Re-detect phase boundaries on the training rows only (the holdout
 	// must not influence what it judges), trimming pre-changepoint rows
 	// when enough remain.
-	minPost := opts.MinSamples / 2
-	if minPost < 8 {
-		minPost = 8
-	}
-	seg, err := Redetect(live, trainRows, redetectThreshold, minPost)
+	seg, err := Redetect(live, trainRows, redetectThreshold, DefaultMinSamples/2)
 	if err != nil {
 		return nil, err
 	}

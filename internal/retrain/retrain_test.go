@@ -301,7 +301,7 @@ func TestRetrainDeterminismD14(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Retrain(trainedModel(t), m, Options{})
+		res, err := Retrain(trainedModel(t), m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -346,7 +346,7 @@ func TestRetrainInsufficientData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Retrain(trainedModel(t), m, Options{MinSamples: 32}); !errors.Is(err, ErrInsufficientData) {
+	if _, err := Retrain(trainedModel(t), m); !errors.Is(err, ErrInsufficientData) {
 		t.Fatalf("err = %v, want ErrInsufficientData", err)
 	}
 }

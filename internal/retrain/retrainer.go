@@ -35,8 +35,6 @@ type Config struct {
 	// Source and Pub are both satisfied by *lifecycle.Manager.
 	Source ModelSource
 	Pub    Publisher
-	// Opts tunes every run; zero value uses the defaults.
-	Opts Options
 }
 
 // Retrainer runs the extract → redetect → retrain → shadow pipeline for
@@ -113,7 +111,7 @@ func (r *Retrainer) runLocked(model string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := Retrain(raw, m, r.cfg.Opts)
+	res, err := Retrain(raw, m)
 	if err != nil {
 		return res, err
 	}

@@ -238,9 +238,8 @@ func TestDispatchRateLimit(t *testing.T) {
 func TestInvalidBodyLockout(t *testing.T) {
 	_, ts := newAdmissionTestServer(t, newFakeStore(), func(o *Options) {
 		o.Admission = &admission.Options{
-			FailureLimit:  2,
-			FailureWindow: time.Minute,
-			Lockout:       time.Minute,
+			FailureLimit: 2,
+			Lockout:      time.Minute,
 		}
 	})
 

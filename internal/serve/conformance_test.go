@@ -214,9 +214,6 @@ func TestShardedPromoteRollbackCoherence(t *testing.T) {
 	store := newFakeStore()
 	store.files["pso.json"] = trainedModelJSON(t)
 	names, urls := newShardedFleet(t, store, 3, func(o *Options) {
-		po := pilotOptions(store)
-		o.Drift = po.Drift
-		o.Lifecycle = po.Lifecycle
 		o.Lifecycle.DisableAutoPromote = true
 		flog, err := feedback.OpenLogOptions(filepath.Join(t.TempDir(), "telemetry.jsonl"), feedback.LogOptions{})
 		if err != nil {
@@ -225,7 +222,6 @@ func TestShardedPromoteRollbackCoherence(t *testing.T) {
 		t.Cleanup(func() { flog.Close() })
 		o.FeedbackLog = flog
 		o.Retrain = true
-		o.RetrainOpts = retrain.Options{MinSamples: 8}
 	})
 
 	tbl, err := shard.New(names...)
@@ -250,8 +246,9 @@ func TestShardedPromoteRollbackCoherence(t *testing.T) {
 
 	// Feedback lands on the client replica, which holds no record for
 	// the dispatch (the owner served it) and must forward the report:
-	// four drifted reports log 8 telemetry rows on the owner.
-	for i := 0; i < 4; i++ {
+	// the drifted reports log the retrain minimum of telemetry rows (2
+	// per report) on the owner.
+	for i := 0; i < retrain.DefaultMinSamples/2; i++ {
 		status, body := postJSON(t, urls[client]+"/v1/feedback", driftedFeedback(dr.DispatchID))
 		if status != http.StatusOK {
 			t.Fatalf("forwarded feedback: %d %s", status, body)

@@ -12,23 +12,16 @@ import (
 
 	"opprox/internal/core"
 	"opprox/internal/feedback"
-	"opprox/internal/lifecycle"
 	"opprox/internal/obs"
 	"opprox/internal/retrain"
 )
 
-// pilotOptions are tight closed-loop thresholds: large residuals flip a
-// model to drifting on the first report, and two reports of comparison
-// samples are enough evidence to auto-promote.
+// pilotOptions serve the closed loop at the default drift, retrain and
+// promotion thresholds over a registry that retries without waiting.
 func pilotOptions(store Store) Options {
 	return Options{
 		Store:    store,
 		Registry: RegistryOptions{RetryBase: time.Microsecond},
-		Drift: feedback.Options{
-			Window: 8, MinSamples: 4, MaxExceedFrac: 0.9,
-			CUSUMSlack: 0.01, CUSUMThreshold: 0.2, StaleAfter: 1000,
-		},
-		Lifecycle: lifecycle.Options{ErrWindow: 8, MinShadowSamples: 4},
 	}
 }
 
@@ -150,7 +143,6 @@ func TestServeClosedLoopEndToEnd(t *testing.T) {
 	opts := pilotOptions(store)
 	opts.FeedbackLog = flog
 	opts.Retrain = true
-	opts.RetrainOpts = retrain.Options{MinSamples: 8}
 	srv := New(opts)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
@@ -174,8 +166,9 @@ func TestServeClosedLoopEndToEnd(t *testing.T) {
 		t.Fatalf("initial lifecycle view: %+v", mr)
 	}
 
-	// Four drifted reports (8 telemetry rows): large residuals -> CUSUM
-	// fires -> drifting. Drift alone builds no shadow.
+	// Drifted reports up to the retrain minimum of telemetry rows (2 per
+	// report): large residuals -> CUSUM fires -> drifting. Drift alone
+	// builds no shadow.
 	reports := 0
 	feed := func() feedbackResponse {
 		t.Helper()
@@ -190,7 +183,7 @@ func TestServeClosedLoopEndToEnd(t *testing.T) {
 		}
 		return fr
 	}
-	for i := 0; i < 4; i++ {
+	for i := 0; i < retrain.DefaultMinSamples/2; i++ {
 		if fr := feed(); fr.State != "drifting" || fr.Promoted {
 			t.Fatalf("drifted report %d: %+v", i, fr)
 		}
@@ -226,7 +219,8 @@ func TestServeClosedLoopEndToEnd(t *testing.T) {
 	}
 
 	// Drifted feedback scores both versions; once both windows reach
-	// MinShadowSamples the shadow's realized error wins -> auto-promotion.
+	// lifecycle's minimum shadow samples the shadow's realized error wins
+	// -> auto-promotion.
 	promoted := false
 	for i := 0; i < 6 && !promoted; i++ {
 		fr := feed()

@@ -46,14 +46,15 @@ func replayRegimes(t *testing.T, staleAfter int) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { flog.Close() })
-	ts := httptest.NewServer(New(Options{
+	srv := New(Options{
 		Store:       store,
 		Registry:    RegistryOptions{RetryBase: time.Microsecond},
-		Drift:       feedback.Options{StaleAfter: staleAfter},
 		FeedbackLog: flog,
 		Retrain:     true,
 		Proactive:   true,
-	}).Handler())
+	})
+	srv.detector = feedback.NewDetector(feedback.Options{StaleAfter: staleAfter})
+	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	retrainFailed := obs.Default.Counter("serve.retrain.failed")
 

@@ -23,7 +23,7 @@ import (
 
 // retrainServer starts a server with retraining enabled over a real
 // (rotating) telemetry log.
-func retrainServer(t *testing.T, store Store, mutate ...func(*Options)) *httptest.Server {
+func retrainServer(t *testing.T, store Store, mutate ...func(*Options)) (*Server, *httptest.Server) {
 	t.Helper()
 	flog, err := feedback.OpenLogOptions(
 		filepath.Join(t.TempDir(), "telemetry.jsonl"),
@@ -35,7 +35,6 @@ func retrainServer(t *testing.T, store Store, mutate ...func(*Options)) *httptes
 	opts := pilotOptions(store)
 	opts.FeedbackLog = flog
 	opts.Retrain = true
-	opts.RetrainOpts = retrain.Options{MinSamples: 8}
 	for _, f := range mutate {
 		f(&opts)
 	}
@@ -43,7 +42,7 @@ func retrainServer(t *testing.T, store Store, mutate ...func(*Options)) *httptes
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	t.Cleanup(func() { flog.Close() })
-	return ts
+	return srv, ts
 }
 
 // postHeaders is postJSON plus the response headers.
@@ -81,7 +80,7 @@ func TestServeRetrainEndToEnd(t *testing.T) {
 	}
 	store := newFakeStore()
 	store.files["pso.json"] = trainedModelJSON(t)
-	ts := retrainServer(t, store)
+	_, ts := retrainServer(t, store)
 
 	post := func(path, body string) (int, []byte) {
 		t.Helper()
@@ -117,9 +116,10 @@ func TestServeRetrainEndToEnd(t *testing.T) {
 	}
 
 	// Drifted feedback: drift alone builds no shadow, so the model sits
-	// in "drifting" while telemetry accumulates — 5 reports x 2 phases
-	// clears MinSamples 8.
-	for i := 0; i < 5; i++ {
+	// in "drifting" while telemetry accumulates — one report (2 phases)
+	// past the retrain minimum.
+	const reports = retrain.DefaultMinSamples/2 + 1
+	for i := 0; i < reports; i++ {
 		if status, fb := post("/v1/feedback", driftedFeedback(d1.DispatchID)); status != http.StatusOK {
 			t.Fatalf("feedback %d: %d %s", i, status, fb)
 		}
@@ -141,8 +141,8 @@ func TestServeRetrainEndToEnd(t *testing.T) {
 	if rr.Status != "shadow_created" || rr.ShadowVersion == "" || rr.Winner == "" {
 		t.Fatalf("retrain response: %s", body)
 	}
-	if rr.Rows != 10 {
-		t.Fatalf("retrain saw %d rows, want 10 (5 reports x 2 phases)", rr.Rows)
+	if rr.Rows != 2*reports {
+		t.Fatalf("retrain saw %d rows, want %d (%d reports x 2 phases)", rr.Rows, 2*reports, reports)
 	}
 	mr := modelsSnapshot(t, ts.URL)
 	if mr.Models[0].Shadow == nil || mr.Models[0].Shadow.Version != rr.ShadowVersion {
@@ -224,9 +224,10 @@ func TestServeRetrainStaleTrigger(t *testing.T) {
 	}
 	store := newFakeStore()
 	store.files["pso.json"] = trainedModelJSON(t)
-	ts := retrainServer(t, store, func(o *Options) {
-		o.Drift.StaleAfter = 6 // drifting goes terminal quickly
-	})
+	srv, ts := retrainServer(t, store)
+	// Drifting goes terminal once the log holds the retrain minimum: the
+	// report that flips the model to drifting plus 15 more (2 rows each).
+	srv.detector = feedback.NewDetector(feedback.Options{StaleAfter: 30})
 
 	status, body := postJSON(t, ts.URL+"/v1/dispatch", dispatchBody)
 	if status != http.StatusOK {
@@ -238,7 +239,7 @@ func TestServeRetrainStaleTrigger(t *testing.T) {
 	}
 
 	started := false
-	for i := 0; i < 10 && !started; i++ {
+	for i := 0; i < 20 && !started; i++ {
 		status, fb := postJSON(t, ts.URL+"/v1/feedback", driftedFeedback(d.DispatchID))
 		if status != http.StatusOK {
 			t.Fatalf("feedback %d: %d %s", i, status, fb)
@@ -280,7 +281,7 @@ func TestProactiveControllerCorrection(t *testing.T) {
 	}
 	store := newFakeStore()
 	store.files["pso.json"] = trainedModelJSON(t)
-	ts := retrainServer(t, store, func(o *Options) {
+	_, ts := retrainServer(t, store, func(o *Options) {
 		o.Proactive = true
 	})
 
@@ -298,7 +299,7 @@ func TestProactiveControllerCorrection(t *testing.T) {
 
 	// Drifted feedback (degradation far above prediction) fills the
 	// median windows; every report refreshes the correction.
-	for i := 0; i < 4; i++ {
+	for i := 0; i < retrain.DefaultMinSamples/2; i++ {
 		if status, fb := postJSON(t, ts.URL+"/v1/feedback", driftedFeedback(d.DispatchID)); status != http.StatusOK {
 			t.Fatalf("feedback %d: %d %s", i, status, fb)
 		}
@@ -347,8 +348,8 @@ func TestProactiveControllerCorrection(t *testing.T) {
 		t.Fatalf("corrected body is not the full body of the corrected request:\n%s\n%s", corrected, want)
 	}
 
-	// Retrain a shadow from the accumulated telemetry (4 reports x 2
-	// phases = 8 rows) and promote it manually: the promote resets the
+	// Retrain a shadow from the accumulated telemetry (the retrain
+	// minimum: 2 rows per report) and promote it manually: the promote resets the
 	// detector AND the correction — the evidence referred to the old
 	// live version.
 	status, rb := postJSON(t, ts.URL+"/v1/retrain", `{"model": "pso.json"}`)
@@ -428,7 +429,7 @@ func TestRetrainLifecycleRace(t *testing.T) {
 	}
 	store := newFakeStore()
 	store.files["pso.json"] = trainedModelJSON(t)
-	ts := retrainServer(t, store, func(o *Options) {
+	_, ts := retrainServer(t, store, func(o *Options) {
 		o.Proactive = true
 	})
 

@@ -64,11 +64,8 @@ type Options struct {
 	Timeout time.Duration
 	// Registry tunes model loading (retry count, backoff base).
 	Registry RegistryOptions
-	// Drift tunes the feedback drift detector (window sizes, exceedance
-	// fraction, CUSUM thresholds).
-	Drift feedback.Options
-	// Lifecycle tunes the shadow/promotion manager (error windows,
-	// auto-promotion).
+	// Lifecycle tunes the shadow/promotion manager (auto-promotion, the
+	// swap hook).
 	Lifecycle lifecycle.Options
 	// FeedbackLog, when non-nil, receives every accepted feedback
 	// observation as an append-only JSONL entry (see feedback.OpenLogOptions).
@@ -88,9 +85,6 @@ type Options struct {
 	// runs it synchronously, and a model flipping to stale triggers a
 	// background run. Requires FeedbackLog (the pipeline replays it).
 	Retrain bool
-	// RetrainOpts tunes retrain runs (min samples); zero value uses
-	// retrain defaults.
-	RetrainOpts retrain.Options
 	// Proactive enables the Capri-style proactive controller: between
 	// retrains the confidence-banded model runs open-loop, and observed
 	// degradation residuals feed back as a budget correction on
@@ -149,7 +143,7 @@ func New(opts Options) *Server {
 	s := &Server{
 		timeout:  opts.Timeout,
 		records:  feedback.NewRecords(feedback.DefaultRecordCap),
-		detector: feedback.NewDetector(opts.Drift),
+		detector: feedback.NewDetector(feedback.Options{}),
 		flog:     opts.FeedbackLog,
 		plans:    newPlanCache(opts.PlanCacheCap),
 		gate:     admission.NewGate(opts.MaxInFlight),
@@ -178,7 +172,6 @@ func New(opts Options) *Server {
 			LogPath: opts.FeedbackLog.Path(),
 			Source:  s.mgr,
 			Pub:     s.mgr,
-			Opts:    opts.RetrainOpts,
 		})
 		if err != nil {
 			panic(err) // both halves are wired above; failure is a programming error

@@ -34,6 +34,9 @@ make -s scan
 
 echo "== go build =="
 go build ./...
+# _perfbench is its own module (the end-to-end benchmark), so the root
+# build skips it; it imports the serving API, so build and vet it too.
+(cd _perfbench && go build -o /dev/null . && go vet .)
 
 echo "== go test -race =="
 go test -race ./...

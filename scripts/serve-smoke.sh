@@ -34,6 +34,14 @@ flags=$("$tmp/opprox-serve" -h 2>&1 | sed -n 's/^  -\([^ ]*\).*/\1/p' | LC_ALL=C
     echo "  got:  ${flags% }" >&2
     echo "  want: $want_flags" >&2
     exit 1; }
+# A flag that only tunes an unset companion flag fails startup (the
+# timeout ends a server that started anyway, and fails the check).
+rc=0
+msg=$(timeout 10 "$tmp/opprox-serve" -addr 127.0.0.1:0 -lockout 5s 2>&1) || rc=$?
+case "$rc:$msg" in
+1:*"-lockout requires -failure-limit"*) ;;
+*) echo "serve-smoke: -lockout without -failure-limit did not fail startup (exit $rc): $msg" >&2; exit 1 ;;
+esac
 
 mkdir "$tmp/models"
 "$tmp/opprox" -app pso -phases 2 -budget 10 -save "$tmp/models/pso.json" >/dev/null
