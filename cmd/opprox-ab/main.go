@@ -10,7 +10,8 @@
 // compares ns/op and allocs/op; -workload runs _perfbench/run.sh untraced
 // from each side's root and compares the end-to-end metrics BENCHMARK.json
 // names. Per metric it prints each side's median and IQR, the change's wins
-// of N pairs (ties count for neither) and a verdict (see series.verdict).
+// of N pairs (ties count for neither) and a verdict (see series.verdict),
+// then every pair's base and change values.
 // It exits 1 on a worse verdict or a larger failed share, 2 on an error.
 package main
 
@@ -173,6 +174,10 @@ func compare(baseRev, headRev string, pairs, seed int, workload, bench string, p
 			worse = append(worse, name)
 		}
 	}
+	fmt.Println("per pair, base/change:")
+	for _, name := range names {
+		fmt.Printf("%-44s %s\n", name, metrics[name].pairs(pairs))
+	}
 	if bench == "" {
 		for _, s := range sides {
 			fmt.Printf("%s: failed %d/%d, correct in %d/%d runs\n", s.name, s.failed, s.attempted, s.correct, pairs)
@@ -294,6 +299,29 @@ func (m *series) verdict() (wins, n int, v string) {
 		return wins, n, "unresolved"
 	}
 	return wins, n, "same"
+}
+
+// pairs renders each pair's base and change values in pair order, "-"
+// for a side whose run did not report the metric, so a wide IQR can be
+// traced to the runs that made it.
+func (m *series) pairs(n int) string {
+	var b strings.Builder
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			b.WriteString("  ")
+		}
+		for k, vals := range m.vals {
+			if k > 0 {
+				b.WriteByte('/')
+			}
+			if v, ok := vals[i]; ok {
+				b.WriteString(strconv.FormatFloat(v, 'g', 5, 64))
+			} else {
+				b.WriteByte('-')
+			}
+		}
+	}
+	return b.String()
 }
 
 // quartiles returns the median and interquartile range of the values,

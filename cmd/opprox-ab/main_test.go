@@ -161,3 +161,13 @@ func TestFailedMore(t *testing.T) {
 		}
 	}
 }
+
+func TestSeriesPairs(t *testing.T) {
+	m := &series{vals: [2]map[int]float64{
+		{0: 0.969, 1: 0.92234567, 2: 3},
+		{0: 0.846, 2: 1e-7},
+	}}
+	if got, want := m.pairs(3), "0.969/0.846  0.92235/-  3/1e-07"; got != want {
+		t.Fatalf("pairs = %q, want %q", got, want)
+	}
+}

@@ -116,16 +116,16 @@ func TestAppsAnchors(t *testing.T) {
 		{"lulesh", "positions", "internal/apps/lulesh/lulesh.go", 254},
 		{"lulesh", "strain", "internal/apps/lulesh/lulesh.go", 293},
 		{"lulesh", "timeconstraints", "internal/apps/lulesh/lulesh.go", 196},
-		{"comd", "position", "internal/apps/comd/comd.go", 292},
-		{"comd", "force", "internal/apps/comd/comd.go", 246},
-		{"comd", "velocity", "internal/apps/comd/comd.go", 312},
+		{"comd", "position", "internal/apps/comd/comd.go", 273},
+		{"comd", "force", "internal/apps/comd/comd.go", 223},
+		{"comd", "velocity", "internal/apps/comd/comd.go", 293},
 		{"tracker", "features", "internal/apps/tracker/tracker.go", 202},
 		{"tracker", "likelihood", "internal/apps/tracker/tracker.go", 221},
 		{"tracker", "minparticles", "internal/apps/tracker/tracker.go", 265},
 		{"tracker", "layers", "internal/apps/tracker/tracker.go", 274},
-		{"vidpipe", "edge", "internal/apps/vidpipe/vidpipe.go", 165},
+		{"vidpipe", "edge", "internal/apps/vidpipe/vidpipe.go", 164},
 		{"vidpipe", "deflate", "internal/apps/vidpipe/vidpipe.go", 195},
-		{"vidpipe", "encode", "internal/apps/vidpipe/vidpipe.go", 311},
+		{"vidpipe", "encode", "internal/apps/vidpipe/vidpipe.go", 312},
 	}
 	rep := scan(t, discover.Options{}, "./internal/apps/...")
 	for _, a := range anchors {

@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 
 	"opprox/internal/approx"
 	"opprox/internal/apps"
@@ -178,89 +177,71 @@ func (a *App) Start(p apps.Params) (apps.State, error) {
 		force:  make([]vec3, n),
 		peAtom: make([]float64, n),
 	}
-	s.computeForces(s.force, s.peAtom, func(int) bool { return true }) // initial forces (exact)
+	s.computeForces(s.force, s.peAtom, 1, 0) // initial forces (exact)
 	return s, nil
 }
 
-// pairTerm is what an in-range pair i<j adds to atom i: the force
-// fmag·(dx, dy, dz) and half the pair's potential energy. Atom j gets
-// the negated force and the same energy share.
-type pairTerm struct{ fx, fy, fz, e float64 }
-
-// forceScratch is computeForces' working memory: an n×n pair table whose
-// row i holds the terms of pairs (i, j>i), and the active flags. It
-// lives in forcePool, never in a state, so clones and checkpoints do not
-// carry it and concurrent runs each get their own.
-type forceScratch struct {
-	terms  []pairTerm
-	active []bool
-}
-
-var forcePool = sync.Pool{New: func() any { return new(forceScratch) }}
-
 // computeForces evaluates the Lennard-Jones force and potential-energy
-// share of every active atom into force and pe; inactive (perforated)
-// atoms keep their previous entries.
+// share of every active atom — atom i is active when (i+offset)%stride
+// is 0 — into force and pe; inactive (perforated) atoms keep their
+// previous entries.
 //
 // Each unordered pair with an active atom is evaluated once, and every
 // active atom i sums its pair terms over j in ascending order, exactly
-// as a direct double loop over j would. For j < i it subtracts the term
-// stored for (j, i): the separation is odd-symmetric under minImage, so
-// r² and fmag are the same, fmag·(-dx) is -(fmag·dx), and a + (-c) is
-// a - c. An out-of-range pair stores a zero term; adding a zero leaves
-// the sum unchanged because a sum that starts at +0 never reaches -0.
-func (s *state) computeForces(force []vec3, pe []float64, active func(i int) bool) int {
+// as a direct double loop over j would: row i scatters -t(i, j) into
+// atom j > i, so by the time the loop reaches atom j it holds the terms
+// of every pair (i < j, j) in ascending i, and then adds its own row.
+// The separation is odd-symmetric under minImage, so r² and fmag are the
+// same for (j, i) as for (i, j), fmag·(-dx) is -(fmag·dx), and a + (-c)
+// is a - c. An out-of-range pair adds nothing; skipping its zero term
+// leaves the sum unchanged because a sum that starts at +0 never reaches
+// -0.
+func (s *state) computeForces(force []vec3, pe []float64, stride, offset int) int {
 	n, pos, box, half, cutoff2 := s.n, s.pos, s.box, s.box/2, s.cutoff2
-	sc := forcePool.Get().(*forceScratch)
-	defer forcePool.Put(sc)
-	if cap(sc.terms) < n*n {
-		sc.terms = make([]pairTerm, n*n)
-		sc.active = make([]bool, n)
-	}
-	terms, act := sc.terms[:n*n], sc.active[:n]
 	evaluated := 0
-	for i := range act {
-		act[i] = active(i)
-		if act[i] {
+	for i := 0; i < n; i++ {
+		if (i+offset)%stride == 0 {
+			force[i], pe[i] = vec3{}, 0
 			evaluated++
 		}
 	}
 	for i := 0; i < n; i++ {
-		var f vec3
-		e := 0.0
-		if act[i] {
-			for j := 0; j < i; j++ {
-				t := &terms[j*n+i]
-				f = vec3{f.x - t.fx, f.y - t.fy, f.z - t.fz}
-				e += t.e
+		actI := (i+offset)%stride == 0
+		f, e := force[i], pe[i]
+		phase := (i + 1 + offset) % stride // (j+offset)%stride as j runs from i+1
+		for j := i + 1; j < n; j, phase = j+1, phase+1 {
+			if phase == stride {
+				phase = 0
 			}
-		}
-		row := terms[i*n : (i+1)*n]
-		for j := i + 1; j < n; j++ {
-			if !act[i] && !act[j] {
+			actJ := phase == 0
+			if !actI && !actJ {
 				continue
 			}
 			dx := minImage(pos[i].x-pos[j].x, box, half)
 			dy := minImage(pos[i].y-pos[j].y, box, half)
 			dz := minImage(pos[i].z-pos[j].z, box, half)
 			r2 := dx*dx + dy*dy + dz*dz
-			var t pairTerm
-			if !(r2 > cutoff2 || r2 < 1e-12) {
-				inv2 := ljSigma * ljSigma / r2
-				inv6 := inv2 * inv2 * inv2
-				// LJ: U = 4ε(r⁻¹² - r⁻⁶); F = 24ε(2r⁻¹² - r⁻⁶)/r².
-				fmag := 24 * ljEpsilon * (2*inv6*inv6 - inv6) / r2
-				t = pairTerm{fmag * dx, fmag * dy, fmag * dz, 2 * ljEpsilon * (inv6*inv6 - inv6)} // half of 4ε(...): pair shared
+			if r2 > cutoff2 || r2 < 1e-12 {
+				continue
 			}
-			row[j] = t
-			if act[i] {
-				f = f.add(vec3{t.fx, t.fy, t.fz})
-				e += t.e
+			inv2 := ljSigma * ljSigma / r2
+			inv6 := inv2 * inv2 * inv2
+			// LJ: U = 4ε(r⁻¹² - r⁻⁶); F = 24ε(2r⁻¹² - r⁻⁶)/r².
+			fmag := 24 * ljEpsilon * (2*inv6*inv6 - inv6) / r2
+			t := vec3{fmag * dx, fmag * dy, fmag * dz}
+			te := 2 * ljEpsilon * (inv6*inv6 - inv6) // half of 4ε(...): pair shared
+			if actI {
+				f = f.add(t)
+				e += te
+			}
+			if actJ {
+				fj := &force[j]
+				*fj = vec3{fj.x - t.x, fj.y - t.y, fj.z - t.z}
+				pe[j] += te
 			}
 		}
-		if act[i] {
-			force[i] = f
-			pe[i] = e
+		if actI {
+			force[i], pe[i] = f, e
 		}
 	}
 	return evaluated
@@ -301,7 +282,7 @@ func (s *state) Step(sched approx.Schedule, baselineIters int) bool {
 	// AB: force computation (rotating perforation over atoms): a
 	// skipped atom coasts on its previous force until its next turn.
 	stride := levels[BlockForce] + 1
-	evaluated := s.computeForces(force, s.peAtom, func(i int) bool { return (i+step)%stride == 0 })
+	evaluated := s.computeForces(force, s.peAtom, stride, step)
 	s.rec.Call("force", uint64(evaluated*n*costPair))
 
 	// AB: second velocity half-kick (truncation over atoms). Trailing
@@ -340,7 +321,7 @@ func (s *state) Clone() apps.State {
 func (s *state) Result() apps.Result {
 	n := s.n
 	pe := make([]float64, n)
-	s.computeForces(make([]vec3, n), pe, func(int) bool { return true })
+	s.computeForces(make([]vec3, n), pe, 1, 0)
 	out := make([]float64, 0, 5*n)
 	for i := 0; i < n; i++ {
 		out = append(out, s.posU[i].x, s.posU[i].y, s.posU[i].z)

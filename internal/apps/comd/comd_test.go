@@ -1,6 +1,7 @@
 package comd
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -160,7 +161,7 @@ func TestPairOnceMatchesDirect(t *testing.T) {
 				// the state's current forces.
 				f1, f2 := append([]vec3(nil), s.force...), append([]vec3(nil), s.force...)
 				e1, e2 := append([]float64(nil), s.peAtom...), append([]float64(nil), s.peAtom...)
-				n1 := s.computeForces(f1, e1, active)
+				n1 := s.computeForces(f1, e1, stride, off)
 				n2 := directForces(s, f2, e2, active)
 				if n1 != n2 {
 					t.Fatalf("n=%d stride %d offset %d: evaluated %d, direct %d", s.n, stride, off, n1, n2)
@@ -197,5 +198,23 @@ func TestClampSpeed(t *testing.T) {
 	small := clampSpeed(vec3{1, 2, 3})
 	if small != (vec3{1, 2, 3}) {
 		t.Fatal("clamp altered a slow velocity")
+	}
+}
+
+// BenchmarkComputeForces prices the force kernel with every atom active
+// at both lattice sizes (n = 32 and n = 108).
+func BenchmarkComputeForces(b *testing.B) {
+	for _, cells := range []float64{2, 3} {
+		st, err := New().Start(apps.Params{"cells": cells, "lattice": 1.55, "timesteps": 20})
+		if err != nil {
+			b.Fatal(err)
+		}
+		s := st.(*state)
+		b.Run(fmt.Sprintf("n=%d", s.n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s.computeForces(s.force, s.peAtom, 1, 0)
+			}
+		})
 	}
 }

@@ -14,11 +14,12 @@ import (
 )
 
 // TestKernelsEvaluateConcurrent runs one Runner's Evaluate from many
-// goroutines on the real apps whose kernels keep state outside a run —
-// comd's pooled pair table, vidpipe's raw frame table that clones
-// share, tracker's particle double buffer — with one input and a
+// goroutines on the real apps whose kernels write shared or reused
+// memory — comd's in-place force accumulators, vidpipe's raw frame
+// table that clones share and its in-place filter outputs that clones
+// copy, tracker's particle double buffer — with one input and a
 // different schedule per call, and compares every result bit for bit
-// with a serial pass on a fresh Runner. A scratch shared between runs
+// with a serial pass on a fresh Runner. A buffer shared between runs
 // changes results; a write into data clones share is a race under
 // -race.
 func TestKernelsEvaluateConcurrent(t *testing.T) {

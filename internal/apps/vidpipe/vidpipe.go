@@ -142,15 +142,14 @@ func synthFrame(t, frames int, texture []float64) frame {
 }
 
 // edgeFilter runs a 3×3 Sobel-magnitude edge detector with row
-// perforation; a skipped row reuses the previous frame's filtered row
+// perforation into out, which holds the previous frame's filtered output
+// and is overwritten in place (nil on the first frame: it starts as a
+// copy of src). A skipped row keeps the previous frame's filtered row
 // (temporal reuse — consecutive frames are similar, so the error is small
 // but systematic), or passes through unfiltered on the first frame.
-func edgeFilter(src, prevOut frame, level, offset int, rec *trace.Recorder) frame {
-	dst := make(frame, len(src))
-	if prevOut != nil {
-		copy(dst, prevOut)
-	} else {
-		copy(dst, src)
+func edgeFilter(out, src frame, level, offset int, rec *trace.Recorder) frame {
+	if out == nil {
+		out = append(frame(nil), src...)
 	}
 	// Nonzero levels start at a 2/7 skip rate and climb to 6/7: the first
 	// knob notch is a real approximation, not a rounding error.
@@ -170,26 +169,27 @@ func edgeFilter(src, prevOut frame, level, offset int, rec *trace.Recorder) fram
 			if v > 255 {
 				v = 255
 			}
-			dst[y*frameW+x] = v
+			out[y*frameW+x] = v
 		}
 	})
 	rec.Call("edge", uint64(rows*frameW*costConv))
-	return dst
+	return out
 }
 
 // deflateFilter is a 3×1 horizontal erosion (min filter) memoized across
 // frames: the filter output is recomputed every level+1 frames and the
 // cached previous output stands in for the frames in between — cheap when
-// the content is static, wrong when it moves.
-func deflateFilter(src, prevOut frame, level, frameIdx int, rec *trace.Recorder) frame {
+// the content is static, wrong when it moves. out holds the previous
+// frame's output (nil on the first frame) and is overwritten in place.
+func deflateFilter(out, src frame, level, frameIdx int, rec *trace.Recorder) frame {
 	period := level + 1
-	if level > 0 && frameIdx%period != 0 && prevOut != nil {
-		dst := make(frame, len(src))
-		copy(dst, prevOut)
-		rec.Call("deflate", uint64(frameH*frameW)) // cache copy only
-		return dst
+	if level > 0 && frameIdx%period != 0 && out != nil {
+		rec.Call("deflate", uint64(frameH*frameW)) // priced as the cache copy the pipeline models
+		return out
 	}
-	dst := make(frame, len(src))
+	if out == nil {
+		out = make(frame, len(src))
+	}
 	for y := 0; y < frameH; y++ {
 		for x := 0; x < frameW; x++ {
 			v := at(src, y, x)
@@ -199,17 +199,19 @@ func deflateFilter(src, prevOut frame, level, frameIdx int, rec *trace.Recorder)
 			if x < frameW-1 && at(src, y, x+1) < v {
 				v = at(src, y, x+1)
 			}
-			dst[y*frameW+x] = v
+			out[y*frameW+x] = v
 		}
 	}
 	rec.Call("deflate", uint64(frameH*frameW*costErode))
-	return dst
+	return out
 }
 
 // state is one vidpipe run between frames. Every random draw happens in
 // Start (the background texture), so a clone needs no random stream.
-// No frame is written after the iteration that made it, so clones share
-// the raw frames, the reference frames and the finished output frames.
+// The two filter outputs are per-state buffers each frame overwrites in
+// place — only the same frame and the next one read them — so a clone
+// copies them; no other frame is written after the iteration that made
+// it, so clones share the raw frames and the reconstructions.
 type state struct {
 	frames      int
 	edgeFirst   bool
@@ -218,9 +220,10 @@ type state struct {
 	deadzone    float64
 	coeffBudget int
 
-	prevRecon, prevEdge, prevDeflate frame
-	recons                           []frame // one reconstruction per finished frame
-	rec                              trace.Recorder
+	edgeOut, deflateOut frame // the last frame's filter outputs; nil before the first
+	prevRecon           frame
+	recons              []frame // one reconstruction per finished frame
+	rec                 trace.Recorder
 }
 
 // Start implements apps.App: the clip's texture and the encoder's rate
@@ -281,15 +284,13 @@ func (s *state) Step(sched approx.Schedule, baselineIters int) bool {
 	// Filter chain order is input-dependent (paper Fig. 7 / Fig. 8).
 	var filtered frame
 	if s.edgeFirst {
-		edged := edgeFilter(raw, s.prevEdge, levels[BlockEdge], t, rec)
-		s.prevEdge = edged
-		filtered = deflateFilter(edged, s.prevDeflate, levels[BlockDeflate], t, rec)
-		s.prevDeflate = filtered
+		s.edgeOut = edgeFilter(s.edgeOut, raw, levels[BlockEdge], t, rec)
+		s.deflateOut = deflateFilter(s.deflateOut, s.edgeOut, levels[BlockDeflate], t, rec)
+		filtered = s.deflateOut
 	} else {
-		deflated := deflateFilter(raw, s.prevDeflate, levels[BlockDeflate], t, rec)
-		s.prevDeflate = deflated
-		filtered = edgeFilter(deflated, s.prevEdge, levels[BlockEdge], t, rec)
-		s.prevEdge = filtered
+		s.deflateOut = deflateFilter(s.deflateOut, raw, levels[BlockDeflate], t, rec)
+		s.edgeOut = edgeFilter(s.edgeOut, s.deflateOut, levels[BlockEdge], t, rec)
+		filtered = s.edgeOut
 	}
 
 	// AB: delta encoder with dead-zone quantization and a hard
@@ -329,9 +330,12 @@ func (s *state) Step(sched approx.Schedule, baselineIters int) bool {
 
 // Clone implements apps.State. The capped recons slice makes the clone's
 // first append copy the frame list instead of writing into the
-// original's spare capacity.
+// original's spare capacity; the filter outputs are copied because the
+// next frame overwrites them.
 func (s *state) Clone() apps.State {
 	c := *s
+	c.edgeOut = append(frame(nil), s.edgeOut...)
+	c.deflateOut = append(frame(nil), s.deflateOut...)
 	c.recons = s.recons[:len(s.recons):len(s.recons)]
 	c.rec = s.rec.Clone()
 	return &c

@@ -57,7 +57,12 @@ func exportFiltered(fm *filteredModel) filteredDTO {
 	return d
 }
 
-func importFiltered(d filteredDTO) (*filteredModel, error) {
+// importFiltered rebuilds a model whose input rows are width features
+// wide, rejecting anything its prediction paths would index out of
+// range or evaluate wrongly: a split feature past the row, a polynomial
+// that fails poly.Model.Validate, a space expansion of another width, or
+// a keep mask that does not map the row onto the polynomial's features.
+func importFiltered(d filteredDTO, width int) (*filteredModel, error) {
 	if d.Scale < int(scaleLinear) || d.Scale > int(scaleLog1p) {
 		return nil, fmt.Errorf("core: unknown target scale %d", d.Scale)
 	}
@@ -65,11 +70,14 @@ func importFiltered(d filteredDTO) (*filteredModel, error) {
 		if d.Lo == nil || d.Hi == nil {
 			return nil, fmt.Errorf("core: split model missing a half")
 		}
-		lo, err := importFiltered(*d.Lo)
+		if d.SplitFeat < 0 || d.SplitFeat >= width {
+			return nil, fmt.Errorf("core: split on feature %d of %d", d.SplitFeat, width)
+		}
+		lo, err := importFiltered(*d.Lo, width)
 		if err != nil {
 			return nil, err
 		}
-		hi, err := importFiltered(*d.Hi)
+		hi, err := importFiltered(*d.Hi, width)
 		if err != nil {
 			return nil, err
 		}
@@ -82,11 +90,25 @@ func importFiltered(d filteredDTO) (*filteredModel, error) {
 			hi:        hi,
 		}, nil
 	}
-	if d.Model == nil || d.Model.Expansion == nil {
+	if d.Model == nil {
 		return nil, fmt.Errorf("core: model file is missing a polynomial model")
 	}
-	if d.ExpandN < 0 {
-		return nil, fmt.Errorf("core: negative space-expansion width %d", d.ExpandN)
+	if err := d.Model.Validate(); err != nil {
+		return nil, fmt.Errorf("core: model file polynomial: %w", err)
+	}
+	if d.ExpandN != 0 {
+		if d.ExpandN != width {
+			return nil, fmt.Errorf("core: space expansion of %d features for rows of %d", d.ExpandN, width)
+		}
+		width = poly.SpaceExpansion{NRaw: width}.Dim()
+	}
+	if nf := d.Model.Expansion.NFeatures; len(d.Keep) != nf {
+		return nil, fmt.Errorf("core: keep mask of %d features for a polynomial over %d", len(d.Keep), nf)
+	}
+	for _, j := range d.Keep {
+		if j < 0 || j >= width {
+			return nil, fmt.Errorf("core: keep index %d outside rows of %d features", j, width)
+		}
 	}
 	return &filteredModel{
 		model:   d.Model,
@@ -292,28 +314,36 @@ func LoadTrained(r io.Reader) (*Trained, error) {
 				return nil, fmt.Errorf("core: class %q phase %d has local models for %d/%d blocks, want %d",
 					sig, pd.Phase, len(pd.LocalSpeedup), len(pd.LocalDeg), len(mf.Blocks))
 			}
+			// Input widths: a local model reads [params..., level], the
+			// iteration model [params..., levels...] and the global
+			// models [localPred_1..M, iterEstimate?].
+			np, nb := len(mf.Specs), len(mf.Blocks)
+			globalW := nb
+			if mf.Opts.UseIterFeature {
+				globalW++
+			}
 			var err error
 			for _, fd := range pd.LocalSpeedup {
-				fm, e := importFiltered(fd)
+				fm, e := importFiltered(fd, np+1)
 				if e != nil {
 					return nil, e
 				}
 				pm.localSpeedup = append(pm.localSpeedup, fm)
 			}
 			for _, fd := range pd.LocalDeg {
-				fm, e := importFiltered(fd)
+				fm, e := importFiltered(fd, np+1)
 				if e != nil {
 					return nil, e
 				}
 				pm.localDeg = append(pm.localDeg, fm)
 			}
-			if pm.iter, err = importFiltered(pd.Iter); err != nil {
+			if pm.iter, err = importFiltered(pd.Iter, np+nb); err != nil {
 				return nil, err
 			}
-			if pm.globalSpeedup, err = importFiltered(pd.GlobalSpeedup); err != nil {
+			if pm.globalSpeedup, err = importFiltered(pd.GlobalSpeedup, globalW); err != nil {
 				return nil, err
 			}
-			if pm.globalDeg, err = importFiltered(pd.GlobalDeg); err != nil {
+			if pm.globalDeg, err = importFiltered(pd.GlobalDeg, globalW); err != nil {
 				return nil, err
 			}
 			cm.Phase = append(cm.Phase, pm)

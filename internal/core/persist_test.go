@@ -125,6 +125,19 @@ func TestLoadCorruptModelCorpus(t *testing.T) {
 		return classes[sigs[0]].(map[string]any)["phases"].([]any)[0].(map[string]any)
 	}
 
+	// leaf returns one of a phase's models, descending into the low half
+	// of a split; polyModel returns its polynomial.
+	leaf := func(phase map[string]any, name string) map[string]any {
+		fm := phase[name].(map[string]any)
+		for fm["lo"] != nil {
+			fm = fm["lo"].(map[string]any)
+		}
+		return fm
+	}
+	polyModel := func(phase map[string]any, name string) map[string]any {
+		return leaf(phase, name)["model"].(map[string]any)
+	}
+
 	cases := map[string]string{
 		"truncated json":  string(valid[:len(valid)/2]),
 		"truncated early": string(valid[:40]),
@@ -158,6 +171,35 @@ func TestLoadCorruptModelCorpus(t *testing.T) {
 				"P": 0.95,
 			}
 		}),
+		// The polynomial cases are the regression for the chain's load
+		// checks: a term one power longer than NFeatures used to load and
+		// then panic inside Optimize, and truncated coefficients loaded
+		// and optimized over a silently truncated polynomial.
+		"term longer than features": mutate(func(m map[string]any) {
+			terms := polyModel(firstPhase(m), "global_speedup")["Expansion"].(map[string]any)["Terms"].([]any)
+			term := terms[1].(map[string]any)
+			term["Powers"] = append(term["Powers"].([]any), 1.0)
+		}),
+		"truncated coefficients": mutate(func(m map[string]any) {
+			pm := polyModel(firstPhase(m), "global_speedup")
+			pm["Coeffs"] = pm["Coeffs"].([]any)[:2]
+		}),
+		"missing chain parent": mutate(func(m map[string]any) {
+			// Dropping the first degree-1 term of a degree-2 model leaves
+			// its square without a parent; the coefficients stay aligned.
+			pm := polyModel(firstPhase(m), "global_degradation")
+			exp := pm["Expansion"].(map[string]any)
+			if exp["MaxDegree"].(float64) < 2 {
+				t.Fatal("toy global degradation model is no longer degree 2")
+			}
+			drop := func(xs []any) []any { return append(append([]any{}, xs[:1]...), xs[2:]...) }
+			exp["Terms"] = drop(exp["Terms"].([]any))
+			pm["Coeffs"] = drop(pm["Coeffs"].([]any))
+		}),
+		"keep index past the row": mutate(func(m map[string]any) {
+			keep := leaf(firstPhase(m), "global_speedup")["keep"].([]any)
+			keep[len(keep)-1] = 99.0
+		}),
 		"negative half-width": mutate(func(m map[string]any) {
 			firstPhase(m)["speedup_ci"] = map[string]any{
 				"Bands": []any{map[string]any{"HalfWidth": -1.0, "P": 0.95}},
@@ -170,6 +212,7 @@ func TestLoadCorruptModelCorpus(t *testing.T) {
 		if err == nil {
 			t.Fatalf("%s: corrupt model file loaded without error", name)
 		}
+		t.Logf("%s: %v", name, err)
 		if loaded != nil {
 			t.Fatalf("%s: corrupt load returned a model alongside the error", name)
 		}

@@ -91,7 +91,7 @@ func TestSplitModelSurvivesPersistence(t *testing.T) {
 	if fm.lo == nil {
 		t.Skip("split did not fire with this seed; covered by TestFitTargetSplitsOnCliff")
 	}
-	back, err := importFiltered(exportFiltered(fm))
+	back, err := importFiltered(exportFiltered(fm), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestSplitModelSurvivesPersistence(t *testing.T) {
 
 func TestImportFilteredRejectsHalfSplit(t *testing.T) {
 	d := filteredDTO{Scale: 0, Lo: &filteredDTO{Scale: 0}}
-	if _, err := importFiltered(d); err == nil {
+	if _, err := importFiltered(d, 2); err == nil {
 		t.Fatal("accepted a split with a missing half")
 	}
 }

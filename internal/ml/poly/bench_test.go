@@ -70,6 +70,24 @@ func BenchmarkPredictAll(b *testing.B) {
 	}
 }
 
+// BenchmarkPredictBatch is the plan library's cold path: one fused
+// chain-and-dot pass over a batch of rows.
+func BenchmarkPredictBatch(b *testing.B) {
+	xs, ys := benchData(300, 5, 3)
+	m, err := Fit(xs, ys, 3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dst := make([]float64, len(xs))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := m.PredictBatch(dst, xs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkTransformAll(b *testing.B) {
 	xs, _ := benchData(300, 5, 6)
 	e, err := NewExpansion(5, 3)

@@ -1,6 +1,7 @@
 package poly
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -11,7 +12,7 @@ import (
 // This file pins the fast-path kernels bit-for-bit against the
 // interpretive slow path the package shipped with. The slow path is still
 // present (Term.Eval, Expansion.Transform), so every property is checked
-// against live code, not a frozen fixture: compiled term programs,
+// against live code, not a frozen fixture: the compiled term chain,
 // TransformAll, design-matrix prediction reuse, and parallel
 // cross-validation must be pure loop reorderings — never arithmetic
 // changes.
@@ -48,32 +49,118 @@ func slowPredict(m *Model, x []float64) float64 {
 	return s
 }
 
-func TestCompiledTermsMatchEvalBitwise(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
+// specialFloats are the inputs where a reordered multiply would show:
+// signed zeros, infinities, NaN, subnormals and values whose powers
+// overflow or underflow.
+var specialFloats = []float64{
+	0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
+	math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0x1p-1030, -0x1p-1040,
+	1, -1, 1e300, -1e-300, 3.5, -0.75,
+}
+
+// sameFloat reports whether a and b have the same bit pattern, or are
+// both NaN: Go leaves a NaN's payload unspecified, and the product of two
+// NaNs carries whichever operand the compiler put first (it differs
+// between -race and plain builds of the same expression).
+func sameFloat(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+}
+
+// TestChainMatchesTermEvalBitwise: over random expansions up to degree 6,
+// a third uncapped and the rest capped, and inputs drawn from the special
+// values as well as ordinary ones, every chain term has Term.Eval's exact
+// bit pattern, and the fused dot is the slow path's ordered sum bit for
+// bit.
+func TestChainMatchesTermEvalBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	draw := func() float64 {
+		if rng.Intn(2) == 0 {
+			return specialFloats[rng.Intn(len(specialFloats))]
+		}
+		return rng.NormFloat64() * 4
+	}
+	for trial := 0; trial < 300; trial++ {
 		nf := 1 + rng.Intn(5)
-		deg := rng.Intn(5)
-		e, err := NewExpansion(nf, deg)
-		if err != nil {
-			return false
-		}
-		p := e.prog()
-		x := make([]float64, nf)
-		for j := range x {
-			x[j] = rng.NormFloat64() * 10
-		}
-		vals := make([]float64, e.NumTerms())
-		p.evalInto(vals, x)
-		for i, term := range e.Terms {
-			if got, want := vals[i], term.Eval(x); got != want {
-				t.Logf("seed %d term %d: compiled %x, Eval %x", seed, i, got, want)
-				return false
+		var caps []int
+		if trial%3 != 0 {
+			caps = make([]int, nf)
+			for j := range caps {
+				caps[j] = rng.Intn(5) - 1 // -1 is uncapped
 			}
 		}
-		return true
+		e, err := NewExpansionCapped(nf, rng.Intn(7), caps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Validate(); err != nil {
+			t.Fatalf("trial %d: NewExpansionCapped built an invalid chain: %v", trial, err)
+		}
+		c := e.chain()
+		coeffs := make([]float64, e.NumTerms())
+		for i := range coeffs {
+			coeffs[i] = draw()
+		}
+		vals := make([]float64, e.NumTerms())
+		x := make([]float64, nf)
+		for probe := 0; probe < 8; probe++ {
+			for j := range x {
+				x[j] = draw()
+			}
+			c.eval(vals, x)
+			want := 0.0
+			for i, term := range e.Terms {
+				v := term.Eval(x)
+				if !sameFloat(vals[i], v) {
+					t.Fatalf("trial %d term %s at %v: chain %x, Eval %x", trial, term, x, vals[i], v)
+				}
+				want += coeffs[i] * v
+			}
+			if got := c.dot(coeffs, vals, x); !sameFloat(got, want) {
+				t.Fatalf("trial %d at %v: dot %x, ordered sum %x", trial, x, got, want)
+			}
+		}
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
+}
+
+// TestExpansionValidateRejects: every term set the chain cannot evaluate
+// is rejected by Validate, and the chain refuses to build from it.
+func TestExpansionValidateRejects(t *testing.T) {
+	terms := func(powers ...[]int) []Term {
+		ts := make([]Term, len(powers))
+		for i, p := range powers {
+			ts[i] = Term{Powers: p}
+		}
+		return ts
+	}
+	cases := map[string]*Expansion{
+		"no features":       {NFeatures: 0, MaxDegree: 1, Terms: terms([]int{})},
+		"no terms":          {NFeatures: 1, MaxDegree: 1},
+		"short term":        {NFeatures: 2, MaxDegree: 1, Terms: terms([]int{0, 0}, []int{1})},
+		"long term":         {NFeatures: 2, MaxDegree: 1, Terms: terms([]int{0, 0}, []int{1, 0, 0})},
+		"negative power":    {NFeatures: 2, MaxDegree: 1, Terms: terms([]int{0, 0}, []int{-1, 1})},
+		"degree over max":   {NFeatures: 1, MaxDegree: 1, Terms: terms([]int{0}, []int{1}, []int{2})},
+		"constant not 0":    {NFeatures: 1, MaxDegree: 1, Terms: terms([]int{1}, []int{0})},
+		"second constant":   {NFeatures: 1, MaxDegree: 1, Terms: terms([]int{0}, []int{0})},
+		"missing parent":    {NFeatures: 2, MaxDegree: 2, Terms: terms([]int{0, 0}, []int{0, 1}, []int{1, 1})},
+		"parent after term": {NFeatures: 1, MaxDegree: 2, Terms: terms([]int{0}, []int{2}, []int{1})},
+	}
+	for name, e := range cases {
+		if err := e.Validate(); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: chain built without panicking", name)
+				}
+			}()
+			e.chain()
+		}()
+	}
+	// A prefix-closed set in a different order is a valid chain.
+	ok := &Expansion{NFeatures: 2, MaxDegree: 2, Terms: terms([]int{0, 0}, []int{0, 1}, []int{1, 0}, []int{1, 1})}
+	if err := ok.Validate(); err != nil {
+		t.Fatalf("prefix-closed expansion rejected: %v", err)
 	}
 }
 

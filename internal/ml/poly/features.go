@@ -65,19 +65,34 @@ type Expansion struct {
 	MaxDegree int
 	Terms     []Term
 
-	// compiled is the flat index/exponent program the fast paths evaluate.
-	// It is built lazily (and exactly once) so expansions reconstructed
-	// from persisted JSON — which never sees unexported fields — compile
-	// themselves on first use.
-	compileOnce sync.Once
-	compiled    program
+	// links is the compiled prefix chain the fast paths evaluate. It is
+	// built lazily (and exactly once) so expansions reconstructed from
+	// persisted JSON — which never sees unexported fields — compile
+	// themselves on first use; linkErr says why terms that do not form a
+	// chain were rejected.
+	linkOnce sync.Once
+	links    chain
+	linkErr  error
 }
 
-// prog returns the compiled form of the expansion, building it on first
-// use. Safe for concurrent callers.
-func (e *Expansion) prog() *program {
-	e.compileOnce.Do(func() { e.compiled = compileTerms(e.Terms) })
-	return &e.compiled
+// Validate reports whether the terms form a prefix chain: NFeatures
+// non-negative powers each, degree at most MaxDegree, the constant term
+// first and every other term's parent (its powers with the last nonzero
+// exponent decremented) earlier. NewExpansionCapped's expansions always
+// do; a decoded one must pass here before it predicts. Safe for
+// concurrent callers.
+func (e *Expansion) Validate() error {
+	e.linkOnce.Do(func() { e.links, e.linkErr = buildChain(e.NFeatures, e.MaxDegree, e.Terms) })
+	return e.linkErr
+}
+
+// chain returns the compiled form of the expansion, building it on first
+// use. It panics on an expansion Validate rejects.
+func (e *Expansion) chain() chain {
+	if err := e.Validate(); err != nil {
+		panic(err)
+	}
+	return e.links
 }
 
 // NewExpansion builds the monomial basis for nFeatures inputs up to the
@@ -156,16 +171,16 @@ func (e *Expansion) Transform(x []float64) ([]float64, error) {
 // TransformAll maps every row of xs into the monomial basis, writing the
 // flat row-major feature matrix into dst (reshaped in place, reusing its
 // backing storage when possible). Rows are evaluated through the compiled
-// program; the values are bit-for-bit those of Transform.
+// chain; the values are bit-for-bit those of Transform.
 func (e *Expansion) TransformAll(dst *linalg.Matrix, xs [][]float64) error {
-	p := e.prog()
-	nt := len(e.Terms)
+	c := e.chain()
+	nt := len(c)
 	dst.EnsureShape(len(xs), nt)
 	for i, x := range xs {
 		if len(x) != e.NFeatures {
 			return fmt.Errorf("poly: input %d has %d features, expansion expects %d", i, len(x), e.NFeatures)
 		}
-		p.evalInto(dst.Data[i*nt:(i+1)*nt], x)
+		c.eval(dst.Data[i*nt:(i+1)*nt], x)
 	}
 	return nil
 }

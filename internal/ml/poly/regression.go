@@ -23,6 +23,26 @@ type Model struct {
 	TrainR2 float64
 }
 
+// Validate checks everything the prediction paths index by: an
+// expansion whose terms form a chain (Expansion.Validate), one
+// coefficient per term, and a mean and scale per feature. A model
+// decoded from a file must pass it before it predicts.
+func (m *Model) Validate() error {
+	if m.Expansion == nil {
+		return errors.New("poly: model has no expansion")
+	}
+	if err := m.Expansion.Validate(); err != nil {
+		return err
+	}
+	if nt := len(m.Expansion.Terms); len(m.Coeffs) != nt {
+		return fmt.Errorf("poly: %d coefficients for %d terms", len(m.Coeffs), nt)
+	}
+	if nf := m.Expansion.NFeatures; len(m.Mean) != nf || len(m.Scale) != nf {
+		return fmt.Errorf("poly: standardization of %d/%d features for %d", len(m.Mean), len(m.Scale), nf)
+	}
+	return nil
+}
+
 // ErrTooFewSamples reports that there are fewer samples than basis terms.
 var ErrTooFewSamples = errors.New("poly: fewer samples than basis terms")
 
@@ -108,7 +128,7 @@ func FitRidge(xs [][]float64, ys []float64, degree int, lambda float64) (*Model,
 	design := designPool.Get().(*linalg.Matrix)
 	defer designPool.Put(design)
 	design.EnsureShape(len(xs), nt)
-	prog := exp.prog()
+	c := exp.chain()
 	bufp := arena.Floats(nf)
 	defer arena.PutFloats(bufp)
 	buf := *bufp
@@ -117,7 +137,7 @@ func FitRidge(xs [][]float64, ys []float64, degree int, lambda float64) (*Model,
 			return nil, fmt.Errorf("poly: sample %d has %d features, want %d", i, len(x), nf)
 		}
 		standardize(buf, x, mean, scale)
-		prog.evalInto(design.Data[i*nt:(i+1)*nt], buf)
+		c.eval(design.Data[i*nt:(i+1)*nt], buf)
 	}
 	var coeffs []float64
 	if lambda > 0 {
@@ -150,93 +170,69 @@ func FitRidge(xs [][]float64, ys []float64, degree int, lambda float64) (*Model,
 	return m, nil
 }
 
-// Predict evaluates the model at x. The standardization buffer comes from
-// the shared arena, so steady-state Predict performs zero allocations.
+// Predict evaluates the model at x. The standardization buffer and the
+// chain's term values share one arena buffer, so steady-state Predict
+// performs zero allocations.
 func (m *Model) Predict(x []float64) float64 {
-	bufp := arena.Floats(len(x))
-	s := m.PredictScratch(x, *bufp)
+	c := m.Expansion.chain()
+	bufp := arena.Floats(len(x) + len(c))
+	buf := *bufp
+	standardize(buf, x, m.Mean, m.Scale)
+	s := c.dot(m.Coeffs, buf[len(x):], buf[:len(x)])
 	arena.PutFloats(bufp)
 	return s
 }
 
 // PredictScratch is Predict with a caller-provided standardization buffer
-// (len(buf) >= len(x)): no allocations and no pool traffic at all. Tight
-// prediction loops that already hold a scratch buffer use this to avoid
-// nested arena round-trips.
+// (len(buf) >= len(x)); the chain's term values come from the arena.
+// Tight prediction loops that already hold a scratch buffer use this to
+// keep the standardized row out of the pool.
 func (m *Model) PredictScratch(x, buf []float64) float64 {
+	c := m.Expansion.chain()
 	buf = buf[:len(x)]
 	standardize(buf, x, m.Mean, m.Scale)
-	return m.Expansion.prog().dot(m.Coeffs, buf)
+	valsp := arena.Floats(len(c))
+	s := c.dot(m.Coeffs, *valsp, buf)
+	arena.PutFloats(valsp)
+	return s
 }
 
 // PredictInto evaluates the model at every row of xs into dst, which must
-// have length len(xs). One pooled standardization buffer is shared across
-// the whole batch.
+// have length len(xs); it panics on a length mismatch or a row of the
+// wrong width. It is PredictBatch's per-row pass.
 func (m *Model) PredictInto(dst []float64, xs [][]float64) {
 	if len(dst) != len(xs) {
 		panic(fmt.Sprintf("poly: PredictInto dst length %d for %d rows", len(dst), len(xs)))
 	}
-	prog := m.Expansion.prog()
-	bufp := arena.Floats(m.Expansion.NFeatures)
-	buf := *bufp
-	for i, x := range xs {
-		if len(x) > cap(buf) {
-			arena.PutFloats(bufp)
-			bufp = arena.Floats(len(x))
-			buf = *bufp
-		}
-		b := buf[:len(x)]
-		standardize(b, x, m.Mean, m.Scale)
-		dst[i] = prog.dot(m.Coeffs, b)
+	if err := m.PredictBatch(dst, xs); err != nil {
+		panic(err)
 	}
-	arena.PutFloats(bufp)
 }
 
 // PredictBatch evaluates the model at every row of xs into dst (which
-// must have length len(xs)) through one batched pass: every row is
-// standardized into a shared row-major matrix, the whole matrix runs
-// through the compiled expansion via TransformAll, and each prediction
-// is the coefficient dot product over its design row, accumulated in
-// term order. The arithmetic per row — standardize, termVal, ordered
-// sum — is exactly PredictScratch's, so the batched predictions are
-// bit-for-bit identical to the scalar path (equivalence tests pin
-// this). The Pareto-front plan library uses it to evaluate a phase's
-// whole configuration space in one pass.
+// must have length len(xs)) in one pass over the rows: each row is
+// standardized into one pooled buffer, and the chain evaluates its terms
+// into another while accumulating the coefficient dot in term order. The
+// arithmetic per row — standardize, chain, ordered sum — is exactly
+// PredictScratch's, so the batched predictions are bit-for-bit identical
+// to the scalar path (equivalence tests pin this), and no design matrix
+// is written. The Pareto-front plan library uses it to evaluate a
+// phase's whole configuration space in one pass.
 func (m *Model) PredictBatch(dst []float64, xs [][]float64) error {
 	if len(dst) != len(xs) {
 		return fmt.Errorf("poly: PredictBatch dst length %d for %d rows", len(dst), len(xs))
 	}
-	if len(xs) == 0 {
-		return nil
-	}
+	c := m.Expansion.chain()
 	nf := m.Expansion.NFeatures
-	stdp := arena.Floats(len(xs) * nf)
-	defer arena.PutFloats(stdp)
-	std := *stdp
-	viewsp := arena.Rows(len(xs))
-	defer arena.PutRows(viewsp)
-	views := *viewsp
+	bufp := arena.Floats(nf + len(c))
+	defer arena.PutFloats(bufp)
+	std, vals := (*bufp)[:nf], (*bufp)[nf:]
 	for i, x := range xs {
 		if len(x) != nf {
 			return fmt.Errorf("poly: PredictBatch row %d has %d features, model expects %d", i, len(x), nf)
 		}
-		row := std[i*nf : (i+1)*nf]
-		standardize(row, x, m.Mean, m.Scale)
-		views[i] = row
-	}
-	design := designPool.Get().(*linalg.Matrix)
-	defer designPool.Put(design)
-	if err := m.Expansion.TransformAll(design, views); err != nil {
-		return err
-	}
-	nt := m.Expansion.NumTerms()
-	for i := range xs {
-		row := design.Data[i*nt : (i+1)*nt]
-		s := 0.0
-		for t, c := range m.Coeffs {
-			s += c * row[t]
-		}
-		dst[i] = s
+		standardize(std, x, m.Mean, m.Scale)
+		dst[i] = c.dot(m.Coeffs, vals, std)
 	}
 	return nil
 }

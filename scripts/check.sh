@@ -47,9 +47,9 @@ echo "== serving concurrency tests (-race -count=3) =="
 # under concurrent dispatch, the wedged-store bound, the 504 deadline
 # path, concurrent Optimize on one model against a serial pass, and
 # concurrent Evaluate against a serial pass on the apps whose kernels
-# hold data that runs must not write into together (comd's pooled pair
-# table, vidpipe's frame table that clones share, tracker's particle
-# double buffer).
+# hold data that runs must not write into together (comd's in-place
+# force accumulators, vidpipe's frame table that clones share and its
+# in-place filter outputs, tracker's particle double buffer).
 go test -race -count=3 ./internal/serve \
     -run 'TestServingConformance|TestGateBoundsAbandonedGoroutines|TestServeRequestTimeout'
 go test -race -count=3 ./internal/core -run 'TestOptimizeConcurrentMatchesSerial'
